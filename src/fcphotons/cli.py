@@ -1,6 +1,7 @@
 """Command-line front end: simulate, analyze, fit, reproduce."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -16,10 +17,9 @@ class CliError(Exception):
     pass
 
 
-def _pair_coherence_for(scenario: Scenario):
+def _pair_coherence(s: spectral.Spectrum, pm: spectral.PhaseMatching):
     """Model pair coherence: source envelope x converter-filtered envelope."""
-    s = scenario.source_spectrum()
-    filtered = spectral.apply_phase_matching(s, scenario.phase_matching)
+    filtered = spectral.apply_phase_matching(s, pm)
     env_a = spectral.coherence_envelope(s, tau_max=40.0, n_points=2001)
     env_b = spectral.coherence_envelope(filtered, tau_max=40.0, n_points=2001)
     return twophoton.pair_coherence(env_a, env_b)
@@ -57,7 +57,7 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
 
 def _simulate_franson(scenario: Scenario, out_dir, seed):
     fr = scenario.franson
-    pc = _pair_coherence_for(scenario)
+    pc = _pair_coherence(scenario.source_spectrum(), scenario.phase_matching)
     cfg = simkit.FransonMcConfig(
         pc=pc,
         delay_imbalance_ps=fr.delay_imbalance_ps,
@@ -65,7 +65,6 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
         v_app=fr.v_mi * fr.v_mzi,
         detector_a=scenario.detector_herald,
         detector_b=scenario.detector_signal,
-        gate_ps=scenario.analysis.gate_ps,
     )
     rng = np.random.default_rng(seed)
     phases = franson_phases(fr.phase_points)
@@ -77,11 +76,8 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
                                               dtype=np.int64))
         else:
             pair_times = np.empty(0, dtype=np.int64)
-        cfg_k = simkit.FransonMcConfig(
-            pc=pc, delay_imbalance_ps=cfg.delay_imbalance_ps, delay_ps=cfg.delay_ps,
-            phase_rad=float(phi), v_app=cfg.v_app, detector_a=cfg.detector_a,
-            detector_b=cfg.detector_b, gate_ps=cfg.gate_ps)
-        a, b = simkit.franson_sample(pair_times, cfg_k, rng)
+        a, b = simkit.franson_sample(pair_times, dataclasses.replace(cfg, phase_rad=float(phi)),
+                                     rng)
         fa, fb = f"franson_a_{k:03d}.ptag", f"franson_b_{k:03d}.ptag"
         io.write_ptag(os.path.join(out_dir, fa), a)
         io.write_ptag(os.path.join(out_dir, fb), b)
@@ -92,7 +88,7 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
         "seed": seed,
         "delay_ps": fr.delay_ps,
         "delay_imbalance_ps": fr.delay_imbalance_ps,
-        "gate_ps": scenario.analysis.gate_ps,
+        "gate_ps": scenario.gate_ps,
         "configured_visibility": fr.v_mi * fr.v_mzi * pc.at(float(fr.delay_imbalance_ps)),
         "scan": files,
     }
@@ -114,77 +110,47 @@ def cmd_simulate(args):
     return 0
 
 
-def _read_single(path):
+def _read_single(path) -> simkit.TagStream:
+    """The one channel of a PTAG file; an empty stream when the file holds no tags."""
     streams = io.read_ptag(path)
-    if not streams:
-        return None
     if len(streams) > 1:
         raise CliError(f"{path}: expected a single channel")
-    return streams[0]
+    return streams[0] if streams else simkit.TagStream(0, np.empty(0, dtype=np.int64), 0)
 
 
-def _analyze_g2(args, out_dir):
-    herald = _read_single(args.tags[0])
-    hbt1 = _read_single(args.tags[1])
-    hbt2 = _read_single(args.tags[2])
-    summary = {"mode": "g2"}
-    if herald is None or herald.tags.size == 0:
-        summary["status"] = "insufficient data"
-        io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-        return 0
+def _analyze_g2(args, out_dir) -> dict:
+    herald, hbt1, hbt2 = (_read_single(path) for path in args.tags)
     window = args.window_ps
     bin_ps = args.bin_ps if args.bin_ps else window
-    try:
-        res = tagcorr.heralded_g2(herald, hbt1, hbt2, window)
-        hist = tagcorr.cross_correlate(herald, hbt1, bin_ps, args.delay_range_ps)
-        sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
-    except tagcorr.AnalysisError as exc:
-        summary["status"] = "insufficient data"
-        summary["detail"] = str(exc)
-        io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-        return 0
+    res = tagcorr.heralded_g2(herald, hbt1, hbt2, window)
+    hist = tagcorr.cross_correlate(herald, hbt1, bin_ps, args.delay_range_ps)
+    sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
     io.save_curve(os.path.join(out_dir, "g2_histogram.csv"),
                   res.m_values, res.histogram, ("herald_separation_m", "pairs"))
     io.save_curve(os.path.join(out_dir, "correlation.csv"),
                   hist.delays_ps, hist.bins, ("delay_ps", "counts"))
-    summary.update({
+    return {
         "status": "ok",
         "g2_zero": res.g2_zero,
         "sigma": res.sigma,
         "sbr": sbr.sbr,
         "sbr_sigma": sbr.sigma,
         "g2_from_sbr": models.g2_from_sbr(max(sbr.sbr, 0.0)),
-    })
-    io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-    return 0
+    }
 
 
-def _analyze_sbr(args, out_dir):
-    a = _read_single(args.tags[0])
-    b = _read_single(args.tags[1])
-    summary = {"mode": "sbr"}
-    if a is None or b is None or a.tags.size == 0 or b.tags.size == 0:
-        summary["status"] = "insufficient data"
-        io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-        return 0
+def _analyze_sbr(args, out_dir) -> dict:
+    a, b = (_read_single(path) for path in args.tags)
     bin_ps = args.bin_ps if args.bin_ps else args.window_ps
     hist = tagcorr.cross_correlate(a, b, bin_ps, args.delay_range_ps)
-    try:
-        sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
-    except tagcorr.AnalysisError as exc:
-        summary["status"] = "insufficient data"
-        summary["detail"] = str(exc)
-        io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-        return 0
+    sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
     io.save_curve(os.path.join(out_dir, "correlation.csv"),
                   hist.delays_ps, hist.bins, ("delay_ps", "counts"))
-    summary.update({"status": "ok", "sbr": sbr.sbr, "sigma": sbr.sigma,
-                    "signal": sbr.signal, "background_per_bin": sbr.background_per_bin})
-    io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-    return 0
+    return {"status": "ok", "sbr": sbr.sbr, "sigma": sbr.sigma,
+            "signal": sbr.signal, "background_per_bin": sbr.background_per_bin}
 
 
-def _analyze_franson(args, out_dir):
+def _analyze_franson(args, out_dir) -> dict:
     run_dir = args.tags[0]
     summary_path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(summary_path):
@@ -197,66 +163,50 @@ def _analyze_franson(args, out_dir):
     for entry in run["scan"]:
         a = _read_single(os.path.join(run_dir, entry["a"]))
         b = _read_single(os.path.join(run_dir, entry["b"]))
-        if a is None or b is None:
-            scans.append((entry["phase_rad"], 0))
-            continue
         scans.append((entry["phase_rad"],
                       tagcorr.gated_coincidences(a, b, gate, center_ps=0.0)))
-    summary = {"mode": "franson", "gate_ps": gate}
-    total = sum(c for _, c in scans)
-    if total == 0:
-        summary["status"] = "insufficient data"
-        io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-        return 0
     vis, sigma = tagcorr.franson_visibility_scan(scans)
     bell = twophoton.bell_check(vis, max(sigma, 1e-12))
-    summary.update({
-        "status": "ok",
-        "visibility": vis,
-        "sigma": sigma,
-        "gated_coincidences": total,
-        "bell_bound": bell.bound,
-        "bell_violation_sigmas": bell.violation_sigmas,
-        "classical_violation_sigmas": bell.classical_sigmas,
-    })
     io.save_curve(os.path.join(out_dir, "franson_scan.csv"),
                   [p for p, _ in scans], [c for _, c in scans],
                   ("phase_rad", "gated_counts"))
-    io.write_summary(os.path.join(out_dir, "analysis.json"), summary)
-    return 0
+    return {
+        "status": "ok",
+        "gate_ps": gate,
+        "visibility": vis,
+        "sigma": sigma,
+        "gated_coincidences": sum(c for _, c in scans),
+        "bell_bound": bell.bound,
+        "bell_violation_sigmas": bell.violation_sigmas,
+        "classical_violation_sigmas": bell.classical_sigmas,
+    }
+
+
+# mode -> (analyzer, number of positional inputs, what those inputs are)
+ANALYZE_MODES = {
+    "g2": (_analyze_g2, 3, "g2 mode needs herald, hbt1, hbt2 tag files"),
+    "sbr": (_analyze_sbr, 2, "sbr mode needs two tag files"),
+    "franson": (_analyze_franson, 1, "franson mode takes the simulate output directory"),
+}
 
 
 def cmd_analyze(args):
+    analyze, n_inputs, usage = ANALYZE_MODES[args.mode]
+    if len(args.tags) != n_inputs:
+        raise CliError(usage)
     os.makedirs(args.out, exist_ok=True)
-    if args.mode == "g2":
-        if len(args.tags) != 3:
-            raise CliError("g2 mode needs herald, hbt1, hbt2 tag files")
-        return _analyze_g2(args, args.out)
-    if args.mode == "sbr":
-        if len(args.tags) != 2:
-            raise CliError("sbr mode needs two tag files")
-        return _analyze_sbr(args, args.out)
-    if len(args.tags) != 1:
-        raise CliError("franson mode takes the simulate output directory")
-    return _analyze_franson(args, args.out)
+    try:
+        summary = analyze(args, args.out)
+    except tagcorr.AnalysisError as exc:
+        summary = {"status": "insufficient data", "detail": str(exc)}
+    summary["mode"] = args.mode
+    io.write_summary(os.path.join(args.out, "analysis.json"), summary)
+    return 0
 
 
 def cmd_fit(args):
-    rows = []
-    with open(args.points, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                continue
-    if len(rows) < 2:
-        raise CliError(f"{args.points}: need at least two data rows")
     try:
-        res = models.fit_sbr(rows, args.dt_s)
+        res = models.fit_sbr(io.load_table(args.points), args.dt_s)
     except models.ModelError as exc:
         raise CliError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
@@ -299,11 +249,8 @@ def _reproduce_fig3(out_dir):
 
 
 def _reproduce_fig4(out_dir):
-    s = spectral.default_source_spectrum()
-    filtered = spectral.apply_phase_matching(s, spectral.PhaseMatching(fwhm_ghz=118.0))
-    env_a = spectral.coherence_envelope(s, tau_max=40.0, n_points=2001)
-    env_b = spectral.coherence_envelope(filtered, tau_max=40.0, n_points=2001)
-    pc = twophoton.pair_coherence(env_a, env_b)
+    pc = _pair_coherence(spectral.default_source_spectrum(),
+                         spectral.PhaseMatching(fwhm_ghz=118.0))
     curve = twophoton.expected_visibility_curve(pc, 0.88, 0.95)
     keep = np.abs(curve.tau) <= 40.0
     params = "v(dtau) = 0.88 * 0.95 * F(dtau); peak 0.836"
@@ -348,6 +295,12 @@ def cmd_reproduce(args):
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer of ps, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fcphotons",
@@ -366,11 +319,13 @@ def build_parser():
                         "franson: simulate output dir)")
     p.add_argument("--mode", choices=("g2", "sbr", "franson"), default="g2")
     p.add_argument("--out", required=True)
-    p.add_argument("--bin-ps", type=int, default=0, dest="bin_ps")
-    p.add_argument("--gate-ps", type=int, default=0, dest="gate_ps")
-    p.add_argument("--window-ps", type=int, default=1500, dest="window_ps")
-    p.add_argument("--delay-range-ps", type=int, default=150000, dest="delay_range_ps")
-    p.add_argument("--background-exclusion-ps", type=int, default=15000,
+    # 0 for --bin-ps / --gate-ps means the window width / the run's gate
+    p.add_argument("--bin-ps", type=_positive_int, default=0, dest="bin_ps")
+    p.add_argument("--gate-ps", type=_positive_int, default=0, dest="gate_ps")
+    p.add_argument("--window-ps", type=_positive_int, default=1500, dest="window_ps")
+    p.add_argument("--delay-range-ps", type=_positive_int, default=150000,
+                   dest="delay_range_ps")
+    p.add_argument("--background-exclusion-ps", type=_positive_int, default=15000,
                    dest="background_exclusion_ps")
     p.set_defaults(func=cmd_analyze)
 

@@ -1,6 +1,7 @@
-"""File formats: two-column curve text, PTAG binary tag files, CSV, summaries."""
+"""File formats: curve and table CSV, PTAG binary tag files, JSON summaries."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from .spectral import Spectrum
 PTAG_MAGIC = b"PTAG"
 PTAG_VERSION = 1
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
+_HEADER_BYTES = 4 + struct.calcsize("<HQ")
 
 
 class FileFormatError(ValueError):
@@ -28,51 +30,58 @@ def save_spectrum(path, s: Spectrum) -> None:
                comment=f"center_wavelength_nm={s.center_wavelength_nm}")
 
 
-def save_curve(path, x, y, names=("x", "y"), comment: str = "", sigma=None) -> None:
-    """Two- or three-column UTF-8 CSV with an optional '#' comment header."""
+def save_curve(path, x, y, names=("x", "y"), comment: str = "") -> None:
+    """Two-column UTF-8 CSV with an optional '#' comment header."""
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
-        cols = [np.asarray(x, dtype=float), np.asarray(y, dtype=float)]
-        header = list(names[:2])
-        if sigma is not None:
-            cols.append(np.asarray(sigma, dtype=float))
-            header.append(names[2] if len(names) > 2 else "sigma")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
+        fh.write(",".join(names[:2]) + "\n")
+        for row in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_curve(path):
-    """Read the first two numeric columns of a curve CSV."""
+def load_table(path) -> np.ndarray:
+    """Numeric rows of a comma-separated text file as a 2-D float array.
+
+    Blank lines, '#' comments and rows that do not parse as numbers (a
+    column header) are skipped; every numeric row must have the same width.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(p) for p in parts[:2]])
+                rows.append([float(p) for p in line.split(",")])
             except ValueError:
                 continue  # header line
     if not rows:
         raise FileFormatError(f"{path}: no numeric rows")
-    data = np.asarray(rows, dtype=float)
+    if len({len(r) for r in rows}) > 1:
+        raise FileFormatError(f"{path}: rows differ in column count")
+    return np.asarray(rows, dtype=float)
+
+
+def load_curve(path):
+    """Read the first two numeric columns of a curve CSV."""
+    data = load_table(path)
+    if data.shape[1] < 2:
+        raise FileFormatError(f"{path}: need at least two columns")
     return data[:, 0], data[:, 1]
 
 
-def write_ptag(path, streams, duration_ps: int | None = None) -> None:
+def write_ptag(path, streams) -> None:
     """Write tag streams to the PTAG binary format.
 
     Header: magic "PTAG", u16 version, u64 duration_ps (little endian), then
-    9-byte records of u8 channel + u64 timestamp_ps, time ordered.
+    9-byte records of u8 channel + u64 timestamp_ps, time ordered.  The
+    duration is the longest of the streams'.
     """
     if isinstance(streams, TagStream):
         streams = [streams]
-    if duration_ps is None:
-        duration_ps = max((s.duration_ps for s in streams), default=0)
+    duration_ps = max((s.duration_ps for s in streams), default=0)
     records = np.empty(sum(s.tags.size for s in streams), dtype=_RECORD_DTYPE)
     pos = 0
     for s in streams:
@@ -89,45 +98,24 @@ def write_ptag(path, streams, duration_ps: int | None = None) -> None:
 def read_ptag(path) -> list[TagStream]:
     """Read a PTAG file back into one TagStream per channel present."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PTAG_MAGIC:
-            raise FileFormatError(f"{path}: bad magic {magic!r}")
-        version, duration_ps = struct.unpack("<HQ", fh.read(10))
+        header = fh.read(_HEADER_BYTES)
+        if header[:4] != PTAG_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {header[:4]!r}")
+        if len(header) < _HEADER_BYTES:
+            raise FileFormatError(f"{path}: truncated header, {len(header)} of "
+                                  f"{_HEADER_BYTES} bytes")
+        version, duration_ps = struct.unpack("<HQ", header[4:])
         if version != PTAG_VERSION:
             raise FileFormatError(f"{path}: unsupported version {version}")
+        partial = (os.fstat(fh.fileno()).st_size - _HEADER_BYTES) % _RECORD_DTYPE.itemsize
+        if partial:
+            raise FileFormatError(f"{path}: truncated record, {partial} trailing bytes")
         records = np.fromfile(fh, dtype=_RECORD_DTYPE)
     streams = []
     for ch in np.unique(records["channel"]):
         tags = np.sort(records["timestamp_ps"][records["channel"] == ch]).astype(np.int64)
         streams.append(TagStream(int(ch), tags, int(duration_ps)))
     return streams
-
-
-def write_tags_csv(path, streams) -> None:
-    """Debug format: "channel,timestamp_ps" rows, time ordered per channel."""
-    if isinstance(streams, TagStream):
-        streams = [streams]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("channel,timestamp_ps\n")
-        for s in streams:
-            for t in s.tags:
-                fh.write(f"{s.channel},{t}\n")
-
-
-def read_tags_csv(path, duration_ps: int) -> list[TagStream]:
-    channels, times = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("channel"):
-                continue
-            ch, t = line.split(",")
-            channels.append(int(ch))
-            times.append(int(t))
-    channels = np.asarray(channels)
-    times = np.asarray(times, dtype=np.int64)
-    return [TagStream(int(ch), np.sort(times[channels == ch]), duration_ps)
-            for ch in np.unique(channels)]
 
 
 def write_summary(path, data: dict) -> None:

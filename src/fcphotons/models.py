@@ -85,8 +85,8 @@ def fit_sbr(points, dt_s) -> SbrFitResult:
     b is clamped to zero and flagged.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ModelError("fit_sbr: need at least 2 points")
+    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 2:
+        raise ModelError("fit_sbr: need at least 2 (rate, sbr) points")
     r = pts[:, 0]
     sbr = pts[:, 1]
     if np.any(sbr <= 0):

@@ -1,8 +1,10 @@
 """Scenario files: INI-style key-value configs with units in the key names."""
 
 import configparser
+import dataclasses
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,23 +12,11 @@ from . import spectral
 from .simkit import DetectorModel, SourceParams
 from .spectral import PhaseMatching, Spectrum
 
+BUNDLED_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scenarios")
+
 
 class ScenarioError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AnalysisSettings:
-    bin_ps: int = 1500
-    gate_ps: int = 512
-    window_ps: int = 1500
-    delay_range_ps: int = 150000
-    background_exclusion_ps: int = 15000
-    bin_multiplier: float = 1.0  # analysis-side time-bin enlargement
-
-    @property
-    def effective_bin_ps(self) -> int:
-        return int(round(self.bin_ps * self.bin_multiplier))
 
 
 @dataclass(frozen=True)
@@ -46,15 +36,15 @@ class Scenario:
     seed: int
     duration_ps: int
     source: SourceParams
-    detector_herald: DetectorModel = field(default_factory=DetectorModel)
-    detector_signal: DetectorModel = field(default_factory=DetectorModel)
-    qfc_efficiency: float | None = None
-    qfc_background_per_s: float = 0.0
-    spectrum_fwhm_ghz: float = 173.0
-    spectrum_file: str | None = None
-    phase_matching: PhaseMatching = field(default_factory=PhaseMatching)
-    franson: FransonScanSettings = field(default_factory=FransonScanSettings)
-    analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
+    detector_herald: DetectorModel
+    detector_signal: DetectorModel
+    qfc_efficiency: float | None
+    qfc_background_per_s: float
+    spectrum_fwhm_ghz: float
+    spectrum_file: str | None
+    phase_matching: PhaseMatching
+    franson: FransonScanSettings
+    gate_ps: int
 
     def source_spectrum(self) -> Spectrum:
         if self.spectrum_file is not None:
@@ -63,109 +53,98 @@ class Scenario:
         return spectral.gaussian_spectrum(self.spectrum_fwhm_ghz)
 
 
-def _get(parser, section, key, conv, default=None, path="scenario"):
-    if not parser.has_section(section):
-        if default is not None or not parser.has_option(section, key):
-            if default is None:
-                raise ScenarioError(f"{path}: missing section [{section}]")
-            return default
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ScenarioError(f"{path}: missing key {section}.{key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
+def _to_int(raw: str) -> int:
+    return int(float(raw))
+
+
+# converter for each field type of the dataclasses read section by section
+_CONVERTERS = {int: _to_int, float: float}
+
+
+def _resolve(path) -> str:
+    """The path as given, or the bundled file for a bare name such as "franson"."""
+    path = str(path)
+    bundled = os.path.join(BUNDLED_DIR, f"{path}.ini")
+    if not os.path.exists(path) and os.path.basename(path) == path and os.path.exists(bundled):
+        return bundled
+    return path
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file; every number carries its unit in its key."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ScenarioError(f"{path}: cannot read scenario file")
+    """Parse and validate a scenario file; every number carries its unit in its key.
 
-    kind = _get(parser, "run", "kind", str, path=path)
+    path is a scenario file or the name of a bundled one ("g2_chain",
+    "franson").  Sections [source], [detector_herald], [detector_signal],
+    [phase_matching] and [franson] take the field names of SourceParams,
+    DetectorModel, PhaseMatching and FransonScanSettings as keys, with the
+    fields' defaults.  A key that nothing reads is an error.
+    """
+    path = _resolve(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    if not parser.read(path, encoding="utf-8"):
+        raise ScenarioError(f"{path}: cannot read scenario file")
+    read_keys = set()
+
+    def get(section, key, conv, default=dataclasses.MISSING):
+        if not parser.has_option(section, key):
+            if default is dataclasses.MISSING:
+                raise ScenarioError(f"{path}: missing key {section}.{key}")
+            return default
+        read_keys.add((section, key))
+        raw = parser.get(section, key)
+        try:
+            return conv(raw)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
+
+    def build(cls, section):
+        types = typing.get_type_hints(cls)
+        values = {f.name: get(section, f.name, _CONVERTERS[types[f.name]], f.default)
+                  for f in dataclasses.fields(cls)}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: [{section}] {exc}") from exc
+
+    kind = get("run", "kind", str)
     if kind not in ("g2_chain", "franson"):
         raise ScenarioError(f"{path}: unknown run.kind {kind!r}")
-    name = _get(parser, "run", "name", str, default=os.path.basename(str(path)), path=path)
-    seed = _get(parser, "run", "seed", lambda v: int(v, 0), default=0, path=path)
-    duration_ps = _get(parser, "run", "duration_ps", lambda v: int(float(v)), path=path)
+    duration_ps = get("run", "duration_ps", _to_int)
     if duration_ps < 0:
         raise ScenarioError(f"{path}: run.duration_ps must be nonnegative")
 
-    try:
-        source = SourceParams(
-            pair_rate_per_s=_get(parser, "source", "pair_rate_per_s", float, path=path),
-            q1=_get(parser, "source", "q1", float, 0.0, path),
-            q2=_get(parser, "source", "q2", float, 0.0, path),
-            eta1=_get(parser, "source", "eta1", float, 1.0, path),
-            eta2=_get(parser, "source", "eta2", float, 1.0, path),
-            dark1_per_s=_get(parser, "source", "dark1_per_s", float, 0.0, path),
-            dark2_per_s=_get(parser, "source", "dark2_per_s", float, 0.0, path),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: [source] {exc}") from exc
-
-    def detector(section):
-        return DetectorModel(
-            jitter_sigma_ps=_get(parser, section, "jitter_sigma_ps", float, 0.0, path),
-            dead_time_ps=_get(parser, section, "dead_time_ps", lambda v: int(float(v)), 0, path),
-        )
-
     qfc_eff = None
-    qfc_bg = 0.0
     if parser.has_section("qfc"):
-        qfc_eff = _get(parser, "qfc", "efficiency", float, path=path)
-        qfc_bg = _get(parser, "qfc", "background_rate_per_s", float, 0.0, path)
+        qfc_eff = get("qfc", "efficiency", float)
         if not 0 <= qfc_eff <= 1:
             raise ScenarioError(f"{path}: qfc.efficiency outside [0, 1]")
 
-    spectrum_file = _get(parser, "spectrum", "file", str, "", path) or None
+    spectrum_file = get("spectrum", "file", str, "") or None
     if spectrum_file is not None:
-        spectrum_file = os.path.join(os.path.dirname(os.path.abspath(str(path))), spectrum_file)
+        spectrum_file = os.path.join(os.path.dirname(os.path.abspath(path)), spectrum_file)
         if not os.path.exists(spectrum_file):
             raise ScenarioError(f"{path}: spectrum.file {spectrum_file!r} does not exist")
 
     scenario = Scenario(
-        name=name,
+        name=get("run", "name", str, os.path.basename(path)),
         kind=kind,
-        seed=seed,
+        seed=get("run", "seed", lambda v: int(v, 0), 0),
         duration_ps=duration_ps,
-        source=source,
-        detector_herald=detector("detector_herald"),
-        detector_signal=detector("detector_signal"),
+        source=build(SourceParams, "source"),
+        detector_herald=build(DetectorModel, "detector_herald"),
+        detector_signal=build(DetectorModel, "detector_signal"),
         qfc_efficiency=qfc_eff,
-        qfc_background_per_s=qfc_bg,
-        spectrum_fwhm_ghz=_get(parser, "spectrum", "gaussian_fwhm_ghz", float, 173.0, path),
+        qfc_background_per_s=get("qfc", "background_rate_per_s", float, 0.0),
+        spectrum_fwhm_ghz=get("spectrum", "gaussian_fwhm_ghz", float, 173.0),
         spectrum_file=spectrum_file,
-        phase_matching=PhaseMatching(
-            center_offset_ghz=_get(parser, "phase_matching", "center_offset_ghz", float, 0.0, path),
-            fwhm_ghz=_get(parser, "phase_matching", "fwhm_ghz", float, 118.0, path),
-        ),
-        franson=FransonScanSettings(
-            delay_ps=_get(parser, "franson", "delay_ps", lambda v: int(float(v)), 1140, path),
-            delay_imbalance_ps=_get(parser, "franson", "delay_imbalance_ps",
-                                    lambda v: int(float(v)), 0, path),
-            v_mi=_get(parser, "franson", "v_mi", float, 0.88, path),
-            v_mzi=_get(parser, "franson", "v_mzi", float, 0.95, path),
-            phase_points=_get(parser, "franson", "phase_points", int, 12, path),
-            pairs_per_point=_get(parser, "franson", "pairs_per_point",
-                                 lambda v: int(float(v)), 5000, path),
-        ),
-        analysis=AnalysisSettings(
-            bin_ps=_get(parser, "analysis", "bin_ps", lambda v: int(float(v)), 1500, path),
-            gate_ps=_get(parser, "analysis", "gate_ps", lambda v: int(float(v)), 512, path),
-            window_ps=_get(parser, "analysis", "window_ps", lambda v: int(float(v)), 1500, path),
-            delay_range_ps=_get(parser, "analysis", "delay_range_ps",
-                                lambda v: int(float(v)), 150000, path),
-            background_exclusion_ps=_get(parser, "analysis", "background_exclusion_ps",
-                                         lambda v: int(float(v)), 15000, path),
-            bin_multiplier=_get(parser, "analysis", "bin_multiplier", float, 1.0, path),
-        ),
+        phase_matching=build(PhaseMatching, "phase_matching"),
+        franson=build(FransonScanSettings, "franson"),
+        gate_ps=get("analysis", "gate_ps", _to_int, 512),
     )
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in read_keys:
+                raise ScenarioError(f"{path}: unknown key {section}.{key}")
     return scenario
 
 

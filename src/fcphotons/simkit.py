@@ -91,7 +91,6 @@ class FransonMcConfig:
     v_app: float = 1.0  # apparatus visibility ceiling (v_mi * v_mzi)
     detector_a: DetectorModel = field(default_factory=DetectorModel)
     detector_b: DetectorModel = field(default_factory=DetectorModel)
-    gate_ps: int = 512
 
     def __post_init__(self):
         if self.delay_ps <= 0:

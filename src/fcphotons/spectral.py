@@ -196,7 +196,7 @@ def _fringe_model(x, c, v, omega, phi):
     return c * (1.0 + v * np.sin(omega * x + phi))
 
 
-def fringe_fit(samples, sigma=None, max_nfev=10000):
+def fringe_fit(samples, sigma=None):
     """Fit counts vs phase proxy with c*(1 + v sin(omega x + phi)).
 
     samples: sequence of (x, count) pairs, at least 8, spanning >= 1 period.
@@ -245,7 +245,7 @@ def fringe_fit(samples, sigma=None, max_nfev=10000):
     try:
         popt, pcov = curve_fit(
             _fringe_model, x, y, p0=p0, sigma=sigma,
-            absolute_sigma=sigma is not None, maxfev=max_nfev)
+            absolute_sigma=sigma is not None, maxfev=10000)
     except RuntimeError as exc:
         resid = y - _fringe_model(x, *p0)
         raise FitError(

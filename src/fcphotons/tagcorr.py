@@ -8,6 +8,11 @@ from .simkit import TagStream
 from .spectral import fringe_fit
 
 
+# heralded_g2's herald-separation range and the |m| where its plateau starts
+G2_MAX_SEPARATION = 50
+G2_PLATEAU_FROM = 10
+
+
 class AnalysisError(ValueError):
     pass
 
@@ -146,28 +151,25 @@ def _window_flags(herald: np.ndarray, stream: TagStream, half_window: float) -> 
 
 
 def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
-                window_ps: float, plateau_range: tuple[int, int] = (10, 50)) -> HeraldedG2Result:
+                window_ps: float) -> HeraldedG2Result:
     """Heralded g2(0) from herald-referenced binary detection lists.
 
     Per herald, each HBT detector contributes a binary flag for an event
     within +-window/2 of the herald.  Every flagged pair (one event on each
     detector) is recorded by the signed number of heralds separating them,
     negative when the second detector fired before the first.  The histogram
-    over that separation index is normalized by its large-|m| plateau and
-    g2(0) is the normalized value at m = 0.
+    over that separation index, |m| <= G2_MAX_SEPARATION, is normalized by its
+    plateau at |m| >= G2_PLATEAU_FROM and g2(0) is the normalized value at m = 0.
     """
     if window_ps <= 0:
         raise AnalysisError("heralded_g2: window must be positive")
-    m_lo, m_hi = plateau_range
-    if not 0 < m_lo < m_hi:
-        raise AnalysisError("heralded_g2: invalid plateau range")
     h = herald.tags
     if h.size == 0:
         raise AnalysisError("heralded_g2: empty herald stream")
     f1 = _window_flags(h, hbt1, window_ps / 2.0)
     f2 = _window_flags(h, hbt2, window_ps / 2.0)
 
-    m_values = np.arange(-m_hi, m_hi + 1)
+    m_values = np.arange(-G2_MAX_SEPARATION, G2_MAX_SEPARATION + 1)
     hist = np.empty(m_values.size, dtype=np.int64)
     n = h.size
     for j, m in enumerate(m_values):
@@ -176,7 +178,7 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
         else:
             hist[j] = np.count_nonzero(f1[-m:] & f2[: n + m])
 
-    plat_mask = np.abs(m_values) >= m_lo
+    plat_mask = np.abs(m_values) >= G2_PLATEAU_FROM
     plat_counts = hist[plat_mask]
     plateau = plat_counts.mean()
     if plateau <= 0:
@@ -197,24 +199,11 @@ def gated_coincidences(a: TagStream, b: TagStream, gate_ps: float,
     return int((hi - lo).sum())
 
 
-def accidental_floor_per_gate(h: CorrelationHistogram, gate_ps: float,
-                              background_exclusion_ps: float) -> float:
-    """Accidental coincidences expected inside a gate, from far-delay bins."""
-    delays = h.delays_ps
-    bg_mask = np.abs(delays) > background_exclusion_ps
-    per_bin = h.bins[bg_mask].mean()
-    return float(per_bin * gate_ps / h.bin_width_ps)
-
-
-def franson_visibility_scan(scans, background: float = 0.0) -> tuple[float, float]:
-    """Fringe visibility from (phase, gated count) points.
-
-    Counts get Poisson sigmas; an optional accidental floor is subtracted
-    from every count before fitting.
-    """
+def franson_visibility_scan(scans) -> tuple[float, float]:
+    """Fringe visibility from (phase, gated count) points; counts get Poisson sigmas."""
     scans = np.asarray(scans, dtype=float)
     if scans.ndim != 2 or scans.shape[0] < 8:
         raise AnalysisError("franson_visibility_scan: need >= 8 phase points")
-    phases, counts = scans[:, 0], scans[:, 1]
-    sigma = np.sqrt(np.maximum(counts, 1.0))
-    return fringe_fit(np.column_stack([phases, counts - background]), sigma=sigma)
+    if not scans[:, 1].sum() > 0:
+        raise AnalysisError("franson_visibility_scan: no counts")
+    return fringe_fit(scans, sigma=np.sqrt(np.maximum(scans[:, 1], 1.0)))

@@ -80,8 +80,7 @@ def test_05_franson_monte_carlo():
             pc=pc, delay_imbalance_ps=0, delay_ps=1140, phase_rad=float(phi),
             v_app=0.88 * 0.95,
             detector_a=simkit.DetectorModel(jitter_sigma_ps=600.0 / 2.3548),
-            detector_b=simkit.DetectorModel(jitter_sigma_ps=15.0),
-            gate_ps=512)
+            detector_b=simkit.DetectorModel(jitter_sigma_ps=15.0))
         pair_times = np.sort(rng.integers(0, SEC, 4500, dtype=np.int64))
         a, b = simkit.franson_sample(pair_times, cfg, rng)
         c = tagcorr.gated_coincidences(a, b, gate_ps=512, center_ps=0)

@@ -1,18 +1,35 @@
 import importlib.resources
 import os
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fcphotons import io, models
 from fcphotons.cli import main
-from fcphotons.simkit import TagStream
-from fcphotons.spectral import gaussian_spectrum
+from fcphotons.scenario import FransonScanSettings, load_scenario
+from fcphotons.simkit import DetectorModel, SourceParams, TagStream
+from fcphotons.spectral import PhaseMatching, gaussian_spectrum
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MINIMAL_SCENARIO = "[run]\nkind = g2_chain\nduration_ps = 1000\n[source]\npair_rate_per_s = 1e6\n"
+WIDTH_FLAGS = ("--bin-ps", "--gate-ps", "--window-ps", "--delay-range-ps",
+               "--background-exclusion-ps")
 
 
 def scenario_path(name):
     return str(importlib.resources.files("fcphotons") / "scenarios" / name)
+
+
+def write_sbr_points(path, dt_s):
+    """Exact SBR model points for a = 6.78, b = 1.67e6 at eight herald rates."""
+    p = models.RateModelParams(6.78, 1.67e6, dt_s)
+    with open(path, "w") as fh:
+        fh.write("# herald_rate_per_s,sbr\n")
+        for r in np.linspace(5e4, 5e5, 8):
+            fh.write(f"{r},{models.sbr_model(r, p)}\n")
 
 
 def test_ptag_round_trip(tmp_path):
@@ -37,13 +54,16 @@ def test_ptag_bad_magic(tmp_path):
         io.read_ptag(path)
 
 
-def test_tags_csv_round_trip(tmp_path):
-    s = TagStream(2, np.array([5, 10, 20], dtype=np.int64), 100)
-    path = tmp_path / "tags.csv"
-    io.write_tags_csv(path, s)
-    back = io.read_tags_csv(path, 100)
-    assert back[0].channel == 2
-    assert np.array_equal(back[0].tags, s.tags)
+@pytest.mark.parametrize("size", [6, 14 + 3 * 9 + 4], ids=["short_header", "partial_record"])
+def test_ptag_truncated_file_rejected(tmp_path, size):
+    full = tmp_path / "full.ptag"
+    io.write_ptag(full, TagStream(0, np.arange(0, 5000, 1000, dtype=np.int64), 10**4))
+    cut = tmp_path / "cut.ptag"
+    cut.write_bytes(full.read_bytes()[:size])
+    with pytest.raises(io.FileFormatError):
+        io.read_ptag(cut)
+    assert main(["analyze", str(cut), str(full), "--mode", "sbr",
+                 "--out", str(tmp_path / "ana")]) == 2
 
 
 def test_spectrum_file_round_trip(tmp_path):
@@ -123,6 +143,26 @@ def test_simulate_zero_duration(tmp_path):
     assert res["status"] == "insufficient data"
 
 
+def test_analyze_g2_empty_hbt_file(tmp_path):
+    herald = TagStream(0, np.arange(0, 10**8, 10**4, dtype=np.int64), 10**8)
+    io.write_ptag(tmp_path / "herald.ptag", herald)
+    io.write_ptag(tmp_path / "hbt.ptag", [])
+    ana = tmp_path / "ana"
+    rc = main(["analyze", str(tmp_path / "herald.ptag"), str(tmp_path / "hbt.ptag"),
+               str(tmp_path / "hbt.ptag"), "--mode", "g2", "--out", str(ana)])
+    assert rc == 0
+    assert io.read_summary(ana / "analysis.json")["status"] == "insufficient data"
+
+
+@pytest.mark.parametrize("flag", WIDTH_FLAGS)
+@pytest.mark.parametrize("value", ["0", "-1500"])
+def test_analyze_rejects_nonpositive_width(tmp_path, flag, value):
+    for mode, tags in (("g2", ["h", "a", "b"]), ("sbr", ["h", "a"])):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *tags, "--mode", mode, "--out", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+
+
 def test_simulate_and_analyze_franson(tmp_path):
     out = tmp_path / "franson"
     assert main(["simulate", "--scenario", scenario_path("franson.ini"),
@@ -155,13 +195,8 @@ def test_analyze_sbr_mode(tmp_path):
 
 def test_cli_fit(tmp_path):
     dt = 1.5e-9
-    p = models.RateModelParams(6.78, 1.67e6, dt)
-    rates = np.linspace(5e4, 5e5, 8)
     path = tmp_path / "points.csv"
-    with open(path, "w") as fh:
-        fh.write("# herald_rate_per_s,sbr\n")
-        for r in rates:
-            fh.write(f"{r},{models.sbr_model(r, p)}\n")
+    write_sbr_points(path, dt)
     out = tmp_path / "fit"
     assert main(["fit", str(path), "--dt-s", str(dt), "--out", str(out)]) == 0
     res = io.read_summary(out / "fit.json")
@@ -202,3 +237,50 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     sc = tmp_path / "bad_spectrum.ini"
     sc.write_text(text)
     assert main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("scenario, error", [
+    ("g2_chain", None),
+    ("franson", None),
+    (MINIMAL_SCENARIO, None),
+    (MINIMAL_SCENARIO + "[analysis]\nbin_ps = 1500\n", "unknown key analysis.bin_ps"),
+    (MINIMAL_SCENARIO.replace("pair_rate_per_s = 1e6\n", ""),
+     "missing key source.pair_rate_per_s"),
+    (MINIMAL_SCENARIO + "q1 = lots\n", "bad value for source.q1: 'lots'"),
+], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
+        "missing_pair_rate", "bad_value"])
+def test_scenario_loader(tmp_path, capsys, scenario, error):
+    if scenario.startswith("["):
+        path = tmp_path / "scenario.ini"
+        path.write_text(scenario)
+        scenario = str(path)
+    if error is not None:
+        assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 2
+        assert error in capsys.readouterr().err
+        return
+    loaded = load_scenario(scenario)
+    if scenario in ("g2_chain", "franson"):
+        assert loaded == load_scenario(scenario_path(f"{scenario}.ini"))
+        return
+    assert loaded.source == SourceParams(pair_rate_per_s=1e6)
+    assert loaded.detector_herald == loaded.detector_signal == DetectorModel()
+    assert loaded.phase_matching == PhaseMatching()
+    assert loaded.franson == FransonScanSettings()
+    assert (loaded.seed, loaded.qfc_efficiency, loaded.gate_ps) == (0, None, 512)
+
+
+def readme_cli_commands():
+    """Each "fcphotons ..." line of the README's CLI quick start, as argv."""
+    block = README.read_text(encoding="utf-8").split("## Quick start (CLI)")[1]
+    block = block.split("```sh")[1].split("```")[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("fcphotons ")]
+
+
+def test_readme_cli_commands_run_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_sbr_points(tmp_path / "points.csv", 1.5e-9)
+    commands = readme_cli_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert main(argv) == 0, argv

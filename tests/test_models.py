@@ -134,6 +134,8 @@ def test_fit_sbr_errors():
         fit_sbr([(1e5, 3.0, 0.1), (1e5, 2.0, 0.1), (1e5, 4.0, 0.1)], 1.5e-9)
     with pytest.raises(ModelError):
         fit_sbr([(1e5, -3.0), (2e5, 2.0)], 1.5e-9)
+    with pytest.raises(ModelError):
+        fit_sbr([(1e5,), (2e5,)], 1.5e-9)  # a rate column without SBR values
 
 
 def test_rate_model_params_validation():
