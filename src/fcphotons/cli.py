@@ -156,11 +156,17 @@ def _analyze_franson(args, out_dir) -> dict:
     if not os.path.exists(summary_path):
         raise CliError(f"{run_dir}: no summary.json from a franson simulate run")
     run = io.read_summary(summary_path)
-    if run.get("kind") != "franson":
+    if not isinstance(run, dict) or run.get("kind") != "franson":
         raise CliError(f"{run_dir}: not a franson run")
-    gate = args.gate_ps if args.gate_ps else run["gate_ps"]
+    gate = args.gate_ps or run.get("gate_ps")
+    if gate is None:
+        raise CliError(f"{summary_path}: no gate_ps; give --gate-ps")
+    scan = run.get("scan")
+    if not isinstance(scan, list) or not all(
+            isinstance(e, dict) and {"phase_rad", "a", "b"} <= e.keys() for e in scan):
+        raise CliError(f"{summary_path}: 'scan' must list entries with phase_rad, a and b")
     scans = []
-    for entry in run["scan"]:
+    for entry in scan:
         a = _read_single(os.path.join(run_dir, entry["a"]))
         b = _read_single(os.path.join(run_dir, entry["b"]))
         scans.append((entry["phase_rad"],
@@ -190,10 +196,23 @@ ANALYZE_MODES = {
 }
 
 
+def _check_sbr_widths(args):
+    """The histogram must reach past the background exclusion, and that past the central bin."""
+    bin_ps = args.bin_ps if args.bin_ps else args.window_ps
+    reach = args.delay_range_ps // bin_ps * bin_ps
+    if not reach > args.background_exclusion_ps > bin_ps / 2:
+        raise CliError(
+            f"--delay-range-ps in whole bins ({reach} ps) must exceed "
+            f"--background-exclusion-ps ({args.background_exclusion_ps} ps), which must "
+            f"exceed half the bin, --bin-ps or else --window-ps ({bin_ps} ps)")
+
+
 def cmd_analyze(args):
     analyze, n_inputs, usage = ANALYZE_MODES[args.mode]
     if len(args.tags) != n_inputs:
         raise CliError(usage)
+    if args.mode != "franson":
+        _check_sbr_widths(args)
     os.makedirs(args.out, exist_ok=True)
     try:
         summary = analyze(args, args.out)

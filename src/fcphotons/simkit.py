@@ -151,14 +151,30 @@ def apply_detector(s: TagStream, d: DetectorModel, seed) -> TagStream:
         tags = np.clip(tags + shift, 0, s.duration_ps)
         tags.sort()
     if d.dead_time_ps > 0 and tags.size:
-        keep = [0]
-        last = tags[0]
-        for i in range(1, tags.size):
-            if tags[i] - last >= d.dead_time_ps:
-                keep.append(i)
-                last = tags[i]
-        tags = tags[np.asarray(keep)]
+        tags = tags[_dead_time_keep(tags, d.dead_time_ps)]
     return TagStream(s.channel, tags, s.duration_ps)
+
+
+def _dead_time_keep(tags: np.ndarray, dead_time_ps: int) -> np.ndarray:
+    """Mask of the sorted tags that come at least the dead time after the last kept one.
+
+    A tag at least the dead time after its predecessor is kept whatever came
+    before, so the sequential rule only runs inside clusters of closer tags,
+    each starting from its kept first tag.
+    """
+    keep = np.ones(tags.size, dtype=bool)
+    close = np.flatnonzero(np.diff(tags) < dead_time_ps) + 1
+    last = prev = -1
+    for i, t, t_before in zip(close.tolist(), tags[close].tolist(),
+                              tags[close - 1].tolist()):
+        if i != prev + 1:  # tag i - 1 opens a cluster
+            last = t_before
+        if t - last >= dead_time_ps:
+            last = t
+        else:
+            keep[i] = False
+        prev = i
+    return keep
 
 
 def hbt_split(s: TagStream, seed, channels=None) -> tuple[TagStream, TagStream]:

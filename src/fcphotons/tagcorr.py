@@ -1,6 +1,7 @@
 """Time-tag analysis: coincidence histograms, SBR extraction, heralded g2(0)."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +12,9 @@ from .spectral import fringe_fit
 # heralded_g2's herald-separation range and the |m| where its plateau starts
 G2_MAX_SEPARATION = 50
 G2_PLATEAU_FROM = 10
+
+# tags of the walked stream per block in _delay_histogram; bounds the expanded pair arrays
+_CHUNK = 1 << 16
 
 
 class AnalysisError(ValueError):
@@ -57,44 +61,54 @@ class SbrResult:
     sigma: float
 
 
+def _window(a: np.ndarray, b: np.ndarray, low: int, high: int):
+    """Per tag of a, the index range [lo, hi) of b with low <= b - a <= high."""
+    return (np.searchsorted(b, a + low, side="left"),
+            np.searchsorted(b, a + high, side="right"))
+
+
+def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
+                     n_half: int) -> np.ndarray:
+    """Counts of the delays d = b[j] - a[i] in bins k = (2d + w) // (2w), |k| <= n_half.
+
+    Single pass over sorted int64 tags: the window of each tag of the shorter
+    stream holds every tag of the other within reach of the outermost bins,
+    the pairs in it are expanded into their delays and binned with bincount.
+    The shorter stream is taken in blocks of _CHUNK tags so the expanded pair
+    arrays stay small.
+    """
+    w = int(bin_width)
+    reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
+    nbins = 2 * n_half + 1
+    sign = 1
+    if b.size < a.size:  # walk the shorter stream: the same pairs from fewer windows
+        a, b, sign = b, a, -1
+    counts = np.zeros(nbins + 1, dtype=np.int64)
+    for start in range(0, a.size, _CHUNK):
+        block = a[start:start + _CHUNK]
+        lo, hi = _window(block, b, -reach, reach)
+        n = hi - lo
+        # the p-th pair of tag i sits at b[lo[i] + p]
+        first = np.cumsum(n) - n
+        j = np.arange(n.sum()) + np.repeat(lo - first, n)
+        d = sign * (b[j] - np.repeat(block, n))
+        counts += np.bincount((2 * d + w) // (2 * w) + n_half, minlength=nbins + 1)
+    return counts[:nbins]
+
+
 def cross_correlate(a: TagStream, b: TagStream, bin_width_ps: int,
                     delay_range_ps: int) -> CorrelationHistogram:
     """Histogram of (t_b - t_a) for all pairs within +-delay_range.
 
-    A vectorized sorted-merge sweep: for each bin edge the matching position
-    in b is advanced monotonically over the sorted a tags, equivalent to a
-    two-pointer pass and verified bin-exact against brute force in the tests.
+    Bin k holds the integer delays d with (k - 1/2) w <= d < (k + 1/2) w, found
+    in one pass over the tags with int64 arithmetic (see _delay_histogram), so
+    it stays exact however late the tags are.
     """
     if bin_width_ps <= 0:
         raise AnalysisError("cross_correlate: bin width must be positive")
     n_half = int(delay_range_ps // bin_width_ps)
-    nbins = 2 * n_half + 1
-    total_time = max(a.duration_ps, b.duration_ps)
-    singles = (a.rate_per_s, b.rate_per_s)
-    if a.tags.size == 0 or b.tags.size == 0:
-        return CorrelationHistogram(bin_width_ps, np.zeros(nbins, dtype=np.int64),
-                                    total_time, singles)
-    edges = (np.arange(nbins + 1) - n_half - 0.5) * bin_width_ps
-    # cumulative occupancy below each edge, summed over all a tags
-    cum = np.empty(nbins + 1, dtype=np.int64)
-    for k, e in enumerate(edges):
-        cum[k] = np.searchsorted(b.tags, a.tags + e, side="left").sum()
-    return CorrelationHistogram(bin_width_ps, np.diff(cum), total_time, singles)
-
-
-def cross_correlate_bruteforce(a: TagStream, b: TagStream, bin_width_ps: int,
-                               delay_range_ps: int) -> CorrelationHistogram:
-    """All-pairs reference correlator; O(n^2), for validation only."""
-    n_half = int(delay_range_ps // bin_width_ps)
-    nbins = 2 * n_half + 1
-    bins = np.zeros(nbins, dtype=np.int64)
-    for t in a.tags:
-        d = b.tags.astype(float) - float(t)
-        idx = np.floor(d / bin_width_ps + 0.5).astype(int) + n_half
-        ok = (idx >= 0) & (idx < nbins)
-        np.add.at(bins, idx[ok], 1)
-    return CorrelationHistogram(bin_width_ps, bins,
-                                max(a.duration_ps, b.duration_ps),
+    bins = _delay_histogram(a.tags, b.tags, bin_width_ps, n_half)
+    return CorrelationHistogram(bin_width_ps, bins, max(a.duration_ps, b.duration_ps),
                                 (a.rate_per_s, b.rate_per_s))
 
 
@@ -170,13 +184,8 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     f2 = _window_flags(h, hbt2, window_ps / 2.0)
 
     m_values = np.arange(-G2_MAX_SEPARATION, G2_MAX_SEPARATION + 1)
-    hist = np.empty(m_values.size, dtype=np.int64)
-    n = h.size
-    for j, m in enumerate(m_values):
-        if m >= 0:
-            hist[j] = np.count_nonzero(f1[: n - m] & f2[m:])
-        else:
-            hist[j] = np.count_nonzero(f1[-m:] & f2[: n + m])
+    # pairs of flagged heralds (i1 on hbt1, i2 on hbt2) by separation m = i2 - i1
+    hist = _delay_histogram(np.flatnonzero(f1), np.flatnonzero(f2), 1, G2_MAX_SEPARATION)
 
     plat_mask = np.abs(m_values) >= G2_PLATEAU_FROM
     plat_counts = hist[plat_mask]
@@ -194,8 +203,9 @@ def gated_coincidences(a: TagStream, b: TagStream, gate_ps: float,
     """Count pairs with t_b - t_a within +-gate/2 of the given center."""
     if b.tags.size == 0 or a.tags.size == 0 or gate_ps <= 0:
         return 0
-    lo = np.searchsorted(b.tags, a.tags + center_ps - gate_ps / 2.0, side="left")
-    hi = np.searchsorted(b.tags, a.tags + center_ps + gate_ps / 2.0, side="right")
+    # integer delays in the closed gate; for integer ps, center -+ gate // 2
+    lo, hi = _window(a.tags, b.tags, math.ceil(center_ps - gate_ps / 2),
+                     math.floor(center_ps + gate_ps / 2))
     return int((hi - lo).sum())
 
 

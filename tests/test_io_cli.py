@@ -180,6 +180,38 @@ def test_simulate_and_analyze_franson(tmp_path):
     assert res["bell_violation_sigmas"] > 0
 
 
+
+@pytest.mark.parametrize("summary", [
+    {"kind": "franson"},
+    {"kind": "franson", "gate_ps": 512},
+    {"kind": "franson", "gate_ps": 512, "scan": {"a": "x.ptag"}},
+    {"kind": "franson", "gate_ps": 512, "scan": [{"phase_rad": 0.0, "a": "x.ptag"}]},
+    {"kind": "franson", "scan": [{"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}]},
+    ["franson"],
+], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "no_gate", "not_object"])
+def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
+    io.write_summary(tmp_path / "summary.json", summary)
+    rc = main(["analyze", str(tmp_path), "--mode", "franson", "--out", str(tmp_path / "ana")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "ana" / "analysis.json").exists()
+
+
+@pytest.mark.parametrize("mode, tags", [("g2", ["h", "a", "b"]), ("sbr", ["h", "a"])])
+@pytest.mark.parametrize("flags", [
+    ["--delay-range-ps", "100"],  # range below the default 15000 ps exclusion
+    ["--delay-range-ps", "16000", "--bin-ps", "1500"],  # 10 whole bins = 15000 ps
+    ["--background-exclusion-ps", "700"],  # below half the default 1500 ps window
+    ["--window-ps", "40000"],  # half the bin beyond the exclusion
+])
+def test_analyze_inconsistent_widths_are_usage_errors(tmp_path, mode, tags, flags, capsys):
+    # nonexistent tag files: the flags are checked before any file is read
+    rc = main(["analyze", *[str(tmp_path / t) for t in tags], "--mode", mode,
+               "--out", str(tmp_path / "ana"), *flags])
+    assert rc == 2
+    assert "--delay-range-ps" in capsys.readouterr().err
+    assert not (tmp_path / "ana").exists()
+
 def test_analyze_sbr_mode(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", scenario_path("g2_chain.ini"),

@@ -16,6 +16,7 @@ from fcphotons.simkit import (
 from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import gated_coincidences
 from fcphotons.twophoton import PairCoherence, pair_coherence
+from oracles import dead_time_loop
 
 SEC = 10**12  # ps
 
@@ -109,6 +110,22 @@ def test_apply_detector_dead_time():
     out2 = apply_detector(s, DetectorModel(dead_time_ps=15), seed=0)
     assert np.array_equal(out2.tags, [0, 20])
 
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_detector_dead_time_equals_loop(seed):
+    rng = np.random.default_rng(seed)
+    dead = int(rng.integers(1, 60))
+    # gaps at, just under and just over the dead time, zero gaps, long runs of
+    # close tags (chains) and isolated far tags
+    gaps = rng.choice([0, 1, dead - 1, dead, dead + 1, 3 * dead], size=3000,
+                      p=[0.05, 0.15, 0.3, 0.2, 0.1, 0.2])
+    chain = np.full(200, max(dead // 3, 1))
+    tags = np.cumsum(np.concatenate([gaps[:1500], chain, gaps[1500:]])).astype(np.int64)
+    s = TagStream(0, tags, int(tags[-1]))
+    out = apply_detector(s, DetectorModel(dead_time_ps=dead), seed=0)
+    assert np.array_equal(out.tags, dead_time_loop(tags, dead))
+    assert out.tags.dtype == np.int64
 
 def test_hbt_split():
     n = 100000

@@ -15,14 +15,15 @@ from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import (
     AnalysisError,
     CorrelationHistogram,
+    _window_flags,
     cross_correlate,
-    cross_correlate_bruteforce,
     extract_sbr,
     franson_visibility_scan,
     gated_coincidences,
     heralded_g2,
 )
 from fcphotons.twophoton import pair_coherence
+from oracles import cross_correlate_bruteforce, separation_histogram_loop
 
 SEC = 10**12
 
@@ -224,3 +225,76 @@ def test_gating_leakage_bounds_visibility():
                                        seed=80 + dtau)
         model = 0.836 * pc.at(float(dtau))
         assert v <= model + 3 * max(sigma, 1e-3)
+
+
+def _edge_streams(w, seed):
+    """Dense streams plus b tags placed exactly on the bin edges a + (k +- 1/2) w."""
+    rng = np.random.default_rng(seed)
+    span = 60 * w + 100
+    a = np.sort(rng.integers(0, span, 120, dtype=np.int64))
+    on_edges = a[:30] + (rng.integers(-20, 21, 30) * 2 + rng.choice([-1, 1], 30)) * w // 2
+    b = np.sort(np.concatenate([rng.integers(0, span, 120, dtype=np.int64),
+                                np.clip(on_edges, 0, span)]))
+    return a, b, span
+
+
+@pytest.mark.parametrize("case", ["dense", "short_b", "empty_a", "empty_b", "b_before_a",
+                                  "b_after_a"])
+@pytest.mark.parametrize("w", [1, 2, 7, 150, 1500, 1501])
+def test_cross_correlate_equals_oracle(w, case):
+    a, b, span = _edge_streams(w, seed=w)
+    if case == "short_b":
+        b = b[::3]  # the correlator then walks b's windows in a
+    elif case == "empty_a":
+        a = a[:0]
+    elif case == "empty_b":
+        b = b[:0]
+    elif case in ("b_before_a", "b_after_a"):
+        a, b = np.sort(a // 3), np.sort(b // 3 + span // 2)  # every b tag after every a tag
+        if case == "b_before_a":
+            a, b = b, a
+    sa, sb = TagStream(0, a, span), TagStream(1, b, span)
+    delay_range = 20 * w + w // 2
+    fast = cross_correlate(sa, sb, w, delay_range)
+    slow = cross_correlate_bruteforce(sa, sb, w, delay_range)
+    assert np.array_equal(fast.bins, slow.bins)
+    assert fast.bins.size == 41
+    if case.startswith("empty"):
+        assert fast.bins.sum() == 0
+
+
+def test_heralded_g2_histogram_equals_mask_loop():
+    herald = poisson_stream(2e5, SEC // 100, 90)
+    hbt1 = poisson_stream(1e6, SEC // 100, 91, channel=1)
+    hbt2 = poisson_stream(1e6, SEC // 100, 92, channel=2)
+    res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
+    f1 = _window_flags(herald.tags, hbt1, 100000.0)
+    f2 = _window_flags(herald.tags, hbt2, 100000.0)
+    assert np.array_equal(res.m_values, np.arange(-50, 51))
+    assert np.array_equal(res.histogram, separation_histogram_loop(f1, f2, 50))
+    assert res.histogram.sum() > 1000
+
+
+@pytest.mark.parametrize("gate", [1, 2, 7, 300, 301])
+@pytest.mark.parametrize("center", [0, 600, -37])
+def test_gated_coincidences_equals_pair_count(gate, center):
+    rng = np.random.default_rng(gate + 1000 * abs(center))
+    a = np.sort(rng.integers(100, 5000, 200, dtype=np.int64))
+    b = np.sort(np.concatenate([rng.integers(0, 5000, 200, dtype=np.int64),
+                                a[:50] + center + gate // 2, a[50:100] + center - gate // 2,
+                                a[100:150] + center + gate // 2 + 1]))
+    d = b[None, :] - a[:, None]
+    expected = np.count_nonzero(np.abs(d - center) <= gate / 2)
+    n = gated_coincidences(TagStream(0, a, 10**4), TagStream(1, b, 10**4), gate, center)
+    assert n == expected
+
+
+@pytest.mark.parametrize("t0", [0, 8 * 3600 * SEC], ids=["t0", "t8h"])
+def test_delay_queries_exact_beyond_2_53_ps(t0):
+    # a pair 1 ps apart: float64 edges lose whole ps beyond 2^53 ps (about 2.5 h)
+    a = TagStream(0, np.array([t0], dtype=np.int64), t0 + 10)
+    b = TagStream(1, np.array([t0 + 1], dtype=np.int64), t0 + 10)
+    assert gated_coincidences(a, b, gate_ps=1, center_ps=0) == 0
+    assert gated_coincidences(a, b, gate_ps=1, center_ps=1) == 1
+    h = cross_correlate(a, b, bin_width_ps=1, delay_range_ps=5)
+    assert h.bins[h.bins.size // 2 + 1] == 1 and h.bins.sum() == 1
