@@ -296,7 +296,8 @@ def _reproduce_fig5(out_dir, which):
                  + "\n")
         fh.write("herald_rate_per_s," + ",".join(f"{label}_{n}" for n in names) + "\n")
         for i, r in enumerate(rates):
-            fh.write(f"{r!r}," + ",".join(repr(float(cols[n][i])) for n in names) + "\n")
+            row = [r, *(cols[n][i] for n in names)]
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def cmd_reproduce(args):

@@ -111,9 +111,16 @@ def read_ptag(path) -> list[TagStream]:
         if partial:
             raise FileFormatError(f"{path}: truncated record, {partial} trailing bytes")
         records = np.fromfile(fh, dtype=_RECORD_DTYPE)
+    # u64 values of 2^63 and up come out of astype(int64) negative
+    all_tags = records["timestamp_ps"].astype(np.int64)
+    if duration_ps >= 2**63 or (all_tags.size and all_tags.min() < 0):
+        raise FileFormatError(f"{path}: duration or timestamp of 2^63 ps or more")
+    channels = np.flatnonzero(np.bincount(records["channel"]))
     streams = []
-    for ch in np.unique(records["channel"]):
-        tags = np.sort(records["timestamp_ps"][records["channel"] == ch]).astype(np.int64)
+    for ch in channels:
+        tags = all_tags if channels.size == 1 else all_tags[records["channel"] == ch]
+        if np.any(tags[1:] < tags[:-1]):
+            tags = np.sort(tags)
         streams.append(TagStream(int(ch), tags, int(duration_ps)))
     return streams
 

@@ -35,7 +35,7 @@ class Scenario:
     kind: str  # "g2_chain" or "franson"
     seed: int
     duration_ps: int
-    source: SourceParams
+    source: SourceParams | None  # g2_chain only; franson reads no [source]
     detector_herald: DetectorModel
     detector_signal: DetectorModel
     qfc_efficiency: float | None
@@ -74,10 +74,10 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; every number carries its unit in its key.
 
     path is a scenario file or the name of a bundled one ("g2_chain",
-    "franson").  Sections [source], [detector_herald], [detector_signal],
-    [phase_matching] and [franson] take the field names of SourceParams,
-    DetectorModel, PhaseMatching and FransonScanSettings as keys, with the
-    fields' defaults.  A key that nothing reads is an error.
+    "franson").  Sections [source] (g2_chain only), [detector_herald],
+    [detector_signal], [phase_matching] and [franson] take the field names of
+    SourceParams, DetectorModel, PhaseMatching and FransonScanSettings as
+    keys, with the fields' defaults.  A key that nothing reads is an error.
     """
     path = _resolve(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -130,7 +130,7 @@ def load_scenario(path) -> Scenario:
         kind=kind,
         seed=get("run", "seed", lambda v: int(v, 0), 0),
         duration_ps=duration_ps,
-        source=build(SourceParams, "source"),
+        source=build(SourceParams, "source") if kind == "g2_chain" else None,
         detector_herald=build(DetectorModel, "detector_herald"),
         detector_signal=build(DetectorModel, "detector_signal"),
         qfc_efficiency=qfc_eff,

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.optimize import curve_fit
 
 # sinc(x)^2 = 0.5 at x = SINC_HALF_X; fixed to 7 digits so tests are bit-stable
@@ -121,8 +122,29 @@ def integral_bandwidth(s: Spectrum) -> float:
     return float(s.intensity.sum() / s.intensity.max() * s.step)
 
 
+def _chirp(half_theta: float, m: np.ndarray) -> np.ndarray:
+    """exp(i half_theta m^2), with the phase split so its large part is exact.
+
+    half_theta is cut into a 26-bit head and a tail; head * m^2 is exact while
+    m^2 < 2^27, so the only rounding left is in the small tail product.
+    """
+    split = 134217729.0 * half_theta  # Veltkamp split, 2^27 + 1
+    head = split - (split - half_theta)
+    m2 = (m * m).astype(float)
+    return np.exp(1j * (head * m2)) * np.exp(1j * ((half_theta - head) * m2))
+
+
 def coherence_envelope(s: Spectrum, tau_max: float, n_points: int) -> CoherenceEnvelope:
-    """|g1(tau)| via direct Fourier sum of the power spectrum.
+    """|g1(tau)| from the power spectrum: chirp-z (Bluestein) on the uniform grids.
+
+    The normalized Fourier sum over tau_j = j' dtau and nu_k = nu_K + k' dnu,
+    with j', k' counted from the grid centres and c = GHZ_PS: the factor
+    exp(-2 pi i c tau_j nu_K) depends on j alone and has unit modulus, which
+    leaves |sum_k I_k exp(-i theta j' k')| with theta = 2 pi c dtau dnu, and
+    j'k' = (j'^2 + k'^2 - (j' - k')^2) / 2 makes that one FFT convolution
+    (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17, 86
+    (1969)).  The output chirp exp(-i theta j'^2 / 2) has unit modulus too
+    and is not applied.
 
     n_points must be odd so tau = 0 lies on the grid.
     """
@@ -131,8 +153,17 @@ def coherence_envelope(s: Spectrum, tau_max: float, n_points: int) -> CoherenceE
     if n_points < 3 or n_points % 2 == 0:
         raise SpectralError("n_points must be odd and >= 3")
     tau = np.linspace(-tau_max, tau_max, n_points)
-    phase = -2j * np.pi * GHZ_PS * np.outer(tau, s.nu_grid)
-    mag = np.abs(np.exp(phase) @ s.intensity) / s.intensity.sum()
+    n_nu = s.nu_grid.size
+    half_theta = np.pi * GHZ_PS * (2.0 * tau_max / (n_points - 1)) * s.step
+    j_mid, k_mid = (n_points - 1) // 2, (n_nu - 1) // 2
+    x = s.intensity * np.conj(_chirp(half_theta, np.arange(n_nu) - k_mid))
+    # lags j - k from -(n_nu - 1) to n_points - 1, negative ones wrapped to the end
+    size = sp_fft.next_fast_len(n_nu + n_points - 1)
+    lag = np.arange(size)
+    lag = np.where(lag < n_points, lag, lag - size)
+    h = _chirp(half_theta, lag - (j_mid - k_mid))
+    conv = sp_fft.ifft(sp_fft.fft(x, size) * sp_fft.fft(h))[:n_points]
+    mag = np.abs(conv) / s.intensity.sum()
     return CoherenceEnvelope(tau, np.minimum(mag, 1.0))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fcphotons.simkit import TagStream
+from fcphotons.spectral import GHZ_PS, CoherenceEnvelope, SpectralError, Spectrum
 from fcphotons.tagcorr import CorrelationHistogram
 
 
@@ -44,3 +45,18 @@ def dead_time_loop(tags: np.ndarray, dead_time_ps: int) -> np.ndarray:
             keep.append(i)
             last = tags[i]
     return tags[np.asarray(keep)]
+
+
+def coherence_envelope_direct(s: Spectrum, tau_max: float, n_points: int) -> CoherenceEnvelope:
+    """|g1(tau)| via direct Fourier sum of the power spectrum.
+
+    n_points must be odd so tau = 0 lies on the grid.
+    """
+    if tau_max <= 0:
+        raise SpectralError("tau_max must be positive")
+    if n_points < 3 or n_points % 2 == 0:
+        raise SpectralError("n_points must be odd and >= 3")
+    tau = np.linspace(-tau_max, tau_max, n_points)
+    phase = -2j * np.pi * GHZ_PS * np.outer(tau, s.nu_grid)
+    mag = np.abs(np.exp(phase) @ s.intensity) / s.intensity.sum()
+    return CoherenceEnvelope(tau, np.minimum(mag, 1.0))

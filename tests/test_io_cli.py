@@ -2,11 +2,15 @@ import importlib.resources
 import os
 import shlex
 import shutil
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcphotons
 from fcphotons import io, models
 from fcphotons.cli import main
 from fcphotons.scenario import FransonScanSettings, load_scenario
@@ -15,6 +19,7 @@ from fcphotons.spectral import PhaseMatching, gaussian_spectrum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MINIMAL_SCENARIO = "[run]\nkind = g2_chain\nduration_ps = 1000\n[source]\npair_rate_per_s = 1e6\n"
+MINIMAL_FRANSON = "[run]\nkind = franson\nduration_ps = 1000\n"
 WIDTH_FLAGS = ("--bin-ps", "--gate-ps", "--window-ps", "--delay-range-ps",
                "--background-exclusion-ps")
 
@@ -64,6 +69,45 @@ def test_ptag_truncated_file_rejected(tmp_path, size):
         io.read_ptag(cut)
     assert main(["analyze", str(cut), str(full), "--mode", "sbr",
                  "--out", str(tmp_path / "ana")]) == 2
+
+
+def write_raw_ptag(path, channels, timestamps, duration_ps):
+    """A PTAG file with the records in the order given, unchecked."""
+    records = np.empty(len(channels), dtype=[("channel", "u1"), ("timestamp_ps", "<u8")])
+    records["channel"] = channels
+    records["timestamp_ps"] = timestamps
+    path.write_bytes(b"PTAG" + struct.pack("<HQ", 1, duration_ps) + records.tobytes())
+
+
+def test_ptag_unsorted_channels_read_back_sorted(tmp_path):
+    rng = np.random.default_rng(5)
+    stamps = rng.permutation(np.arange(0, 4000, 10, dtype=np.uint64))
+    channels = np.where(np.arange(stamps.size) % 3 == 0, 3, 1)
+    path = tmp_path / "unsorted.ptag"
+    write_raw_ptag(path, channels, stamps, 4000)
+    back = io.read_ptag(path)
+    assert [s.channel for s in back] == [1, 3]
+    for s in back:
+        assert s.tags.dtype == np.int64
+        assert np.array_equal(s.tags, np.sort(stamps[channels == s.channel]).astype(np.int64))
+    single = tmp_path / "single.ptag"
+    write_raw_ptag(single, np.full(stamps.size, 2), stamps, 4000)
+    (back,) = io.read_ptag(single)
+    assert back.channel == 2
+    assert np.array_equal(back.tags, np.sort(stamps).astype(np.int64))
+
+
+@pytest.mark.parametrize("timestamp, duration_ps", [
+    (2**63, 2**63 + 1), (2**64 - 1, 10**4), (10, 2**63)],
+    ids=["timestamp_2_63", "timestamp_max_u64", "duration_2_63"])
+def test_ptag_beyond_int64_rejected(tmp_path, capsys, timestamp, duration_ps):
+    path = tmp_path / "wide.ptag"
+    write_raw_ptag(path, [0, 0], [5, timestamp], duration_ps)
+    with pytest.raises(io.FileFormatError):
+        io.read_ptag(path)
+    assert main(["analyze", str(path), str(path), "--mode", "sbr",
+                 "--out", str(tmp_path / "ana")]) == 2
+    assert "2^63" in capsys.readouterr().err
 
 
 def test_spectrum_file_round_trip(tmp_path):
@@ -247,6 +291,21 @@ def test_cli_reproduce_all_figures(tmp_path):
     with open(tmp_path / "fig5c" / "fig5c_sbr_vs_herald_rate.csv") as fh:
         header = fh.read().splitlines()[0]
     assert "a=6.78" in header and "a=19.1" in header
+    for fig, label in (("fig5b", "g2_zero"), ("fig5c", "sbr")):
+        table = io.load_table(tmp_path / fig / f"{fig}_{label}_vs_herald_rate.csv")
+        assert table.shape == (200, 3)
+        assert table[0, 0] == 2000.0
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal roughly doubles the time to import the CLI
+    src = os.path.dirname(os.path.dirname(fcphotons.__file__))
+    code = "import sys, fcphotons.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_reproduce_unknown_figure():
@@ -279,8 +338,11 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     (MINIMAL_SCENARIO.replace("pair_rate_per_s = 1e6\n", ""),
      "missing key source.pair_rate_per_s"),
     (MINIMAL_SCENARIO + "q1 = lots\n", "bad value for source.q1: 'lots'"),
+    (MINIMAL_FRANSON, None),
+    (MINIMAL_FRANSON + "[source]\npair_rate_per_s = 1e6\n",
+     "unknown key source.pair_rate_per_s"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
-        "missing_pair_rate", "bad_value"])
+        "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"
@@ -294,7 +356,8 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario in ("g2_chain", "franson"):
         assert loaded == load_scenario(scenario_path(f"{scenario}.ini"))
         return
-    assert loaded.source == SourceParams(pair_rate_per_s=1e6)
+    assert loaded.source == (SourceParams(pair_rate_per_s=1e6)
+                             if loaded.kind == "g2_chain" else None)
     assert loaded.detector_herald == loaded.detector_signal == DetectorModel()
     assert loaded.phase_matching == PhaseMatching()
     assert loaded.franson == FransonScanSettings()

@@ -18,6 +18,7 @@ from fcphotons.spectral import (
     sinc2_spectrum,
     time_bandwidth_product,
 )
+from oracles import coherence_envelope_direct
 
 
 def test_spectrum_invariants():
@@ -93,6 +94,20 @@ def test_coherence_envelope_delta_spectrum_flat():
     inten[10] = 1.0
     env = coherence_envelope(Spectrum(grid, inten), tau_max=100.0, n_points=201)
     assert np.allclose(env.magnitude, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [
+    gaussian_spectrum(90.0, center=140.0, grid=np.linspace(-310.0, 590.0, 1501)),
+    sinc2_spectrum(-220.0, 118.0, np.linspace(-1900.0, 2500.0, 3001)),
+    apply_phase_matching(gaussian_spectrum(173.0), PhaseMatching(fwhm_ghz=118.0)),
+], ids=["gaussian_off_centre", "sinc2_off_centre", "filtered_source"])
+@pytest.mark.parametrize("n_points", [3, 5, 101, 1001, 2049])
+def test_coherence_envelope_equals_direct_sum(s, n_points):
+    for tau_max in (5.0, 40.0, 300.0, 1300.0):
+        env = coherence_envelope(s, tau_max, n_points)
+        direct = coherence_envelope_direct(s, tau_max, n_points)
+        assert np.array_equal(env.tau_grid, direct.tau_grid)
+        assert np.max(np.abs(env.magnitude - direct.magnitude)) <= 1e-12
 
 
 def test_coherence_envelope_preconditions():
