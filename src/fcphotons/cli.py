@@ -27,10 +27,13 @@ def _pair_coherence(s: spectral.Spectrum, pm: spectral.PhaseMatching):
 
 def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
     rng = np.random.default_rng(seed)
-    herald, signal = simkit.generate_pair_streams(scenario.source, scenario.duration_ps, rng)
+    source = scenario.source
     if scenario.qfc_efficiency is not None:
-        signal = simkit.qfc_transform(signal, scenario.qfc_efficiency,
-                                      scenario.qfc_background_per_s, rng)
+        # the converter thins the signal arm; its background and the darks come after it
+        source = dataclasses.replace(
+            source, eta2=source.eta2 * scenario.qfc_efficiency,
+            dark2_per_s=source.dark2_per_s + scenario.qfc_background_per_s)
+    herald, signal = simkit.generate_pair_streams(source, scenario.duration_ps, rng)
     hbt1, hbt2 = simkit.hbt_split(signal, rng, channels=(1, 2))
     herald = simkit.apply_detector(herald, scenario.detector_herald, rng)
     hbt1 = simkit.apply_detector(hbt1, scenario.detector_signal, rng)
@@ -133,6 +136,7 @@ def _analyze_g2(args, out_dir) -> dict:
         "status": "ok",
         "g2_zero": res.g2_zero,
         "sigma": res.sigma,
+        "g2_zero_interval": list(res.g2_zero_interval),
         "sbr": sbr.sbr,
         "sbr_sigma": sbr.sigma,
         "g2_from_sbr": models.g2_from_sbr(max(sbr.sbr, 0.0)),

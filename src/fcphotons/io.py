@@ -88,7 +88,8 @@ def write_ptag(path, streams) -> None:
         records["channel"][pos:pos + s.tags.size] = s.channel
         records["timestamp_ps"][pos:pos + s.tags.size] = s.tags
         pos += s.tags.size
-    records = records[np.argsort(records["timestamp_ps"], kind="stable")]
+    if len(streams) > 1:  # one stream is already sorted
+        records = records[np.argsort(records["timestamp_ps"], kind="stable")]
     with open(path, "wb") as fh:
         fh.write(PTAG_MAGIC)
         fh.write(struct.pack("<HQ", PTAG_VERSION, duration_ps))

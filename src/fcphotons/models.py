@@ -1,5 +1,6 @@
 """Closed-form singles/coincidence rate models and SBR curve fitting."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,43 @@ def g2_from_sbr(sbr) -> float:
     if sbr < 0:
         raise ModelError("g2_from_sbr: SBR must be nonnegative")
     return 1.0 - (sbr / (sbr + 1.0)) ** 2
+
+
+def _poisson_cdf(n: int, mu: float) -> float:
+    """P(X <= n) for X ~ Poisson(mu), summed from k = n down until the terms stop counting."""
+    term = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    total = 0.0
+    for k in range(n, -1, -1):
+        total += term
+        if k < mu and term <= 1e-17 * total:
+            break
+        term *= k / mu
+    return total
+
+
+def poisson_interval(n: int) -> tuple[float, float]:
+    """Central 68.27 % exact (Garwood) confidence interval on a Poisson mean from n counts.
+
+    Each end leaves the one-sigma Gaussian tail, 15.87 %, on its side:
+    P(X >= n | lo) = P(X <= n | hi) = tail, with lo = 0 at n = 0.  The ends are
+    bisected on the Poisson CDF; at this level they lie within 5*sqrt(n) + 5 of n.
+    """
+    n = int(n)
+    if n < 0:
+        raise ModelError("poisson_interval: need n >= 0")
+    tail = 0.5 * math.erfc(1 / math.sqrt(2))
+    span = 5.0 * math.sqrt(n) + 5.0
+
+    def bisect(lo, hi, above):  # the root of above(mu) in (lo, hi); only midpoints are tried
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        return 0.5 * (lo + hi)
+
+    lower = 0.0 if n == 0 else bisect(max(n - span, 0.0), n,
+                                      lambda mu: 1.0 - _poisson_cdf(n - 1, mu) >= tail)
+    upper = bisect(n, n + span, lambda mu: _poisson_cdf(n, mu) <= tail)
+    return lower, upper
 
 
 def fit_sbr(points, dt_s) -> SbrFitResult:

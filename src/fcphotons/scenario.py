@@ -118,6 +118,9 @@ def load_scenario(path) -> Scenario:
         qfc_eff = get("qfc", "efficiency", float)
         if not 0 <= qfc_eff <= 1:
             raise ScenarioError(f"{path}: qfc.efficiency outside [0, 1]")
+    qfc_background = get("qfc", "background_rate_per_s", float, 0.0)
+    if qfc_background < 0:
+        raise ScenarioError(f"{path}: qfc.background_rate_per_s must be nonnegative")
 
     spectrum_file = get("spectrum", "file", str, "") or None
     if spectrum_file is not None:
@@ -134,7 +137,7 @@ def load_scenario(path) -> Scenario:
         detector_herald=build(DetectorModel, "detector_herald"),
         detector_signal=build(DetectorModel, "detector_signal"),
         qfc_efficiency=qfc_eff,
-        qfc_background_per_s=get("qfc", "background_rate_per_s", float, 0.0),
+        qfc_background_per_s=qfc_background,
         spectrum_fwhm_ghz=get("spectrum", "gaussian_fwhm_ghz", float, 173.0),
         spectrum_file=spectrum_file,
         phase_matching=build(PhaseMatching, "phase_matching"),

@@ -67,7 +67,7 @@ class TagStream:
         if self.duration_ps < 0:
             raise SimError("TagStream: negative duration")
         if tags.size:
-            if np.any(np.diff(tags) < 0):
+            if np.any(tags[1:] < tags[:-1]):
                 raise SimError("TagStream: tags not sorted")
             if tags[0] < 0 or tags[-1] > self.duration_ps:
                 raise SimError("TagStream: tags outside [0, duration]")
@@ -113,9 +113,11 @@ def _poisson_times(rng, rate_per_s, duration_ps):
 
 
 def _merge(*arrays):
-    out = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays])
-    out.sort()
-    return out
+    """One sorted array from already sorted parts."""
+    parts = [a for a in arrays if a.size]
+    if len(parts) <= 1:
+        return parts[0] if parts else np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(parts), kind="stable")  # timsort merges the sorted runs
 
 
 def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagStream, TagStream]:
@@ -123,22 +125,26 @@ def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagS
 
     Pairs are a Poisson process at the pair rate; each pair survives to a
     herald tag with probability eta1 and to a signal tag with probability
-    eta2, independently.  Background is injected after transmittance at
-    rates q*P*eta so the analytic singles formulas hold exactly; dark counts
-    are added at the detector rates.
+    eta2, independently.  Only surviving tags are drawn (colouring theorem):
+    heralded pairs at P*eta1, each also a signal tag with probability eta2,
+    and signal-only pairs at P*(1 - eta1)*eta2.  Background is injected after
+    transmittance at rates q*P*eta so the analytic singles formulas hold
+    exactly; dark counts come at the detector rates.  A converter in the
+    signal arm is a factor on eta2 plus a background on dark2_per_s.
     """
     if duration_ps < 0:
         raise SimError("duration must be nonnegative")
     rng = _rng(seed)
-    pair_times = _poisson_times(rng, p.pair_rate_per_s, duration_ps)
-    keep1 = rng.random(pair_times.size) < p.eta1
-    keep2 = rng.random(pair_times.size) < p.eta2
-    bg1 = _poisson_times(rng, p.q1 * p.pair_rate_per_s * p.eta1, duration_ps)
-    bg2 = _poisson_times(rng, p.q2 * p.pair_rate_per_s * p.eta2, duration_ps)
+    rate = p.pair_rate_per_s
+    heralded = _poisson_times(rng, rate * p.eta1, duration_ps)
+    both = heralded[rng.random(heralded.size) < p.eta2]
+    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, duration_ps)
+    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, duration_ps)
+    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, duration_ps)
     dark1 = _poisson_times(rng, p.dark1_per_s, duration_ps)
     dark2 = _poisson_times(rng, p.dark2_per_s, duration_ps)
-    herald = TagStream(0, _merge(pair_times[keep1], bg1, dark1), duration_ps)
-    signal = TagStream(1, _merge(pair_times[keep2], bg2, dark2), duration_ps)
+    herald = TagStream(0, _merge(heralded, bg1, dark1), duration_ps)
+    signal = TagStream(1, _merge(both, signal_only, bg2, dark2), duration_ps)
     return herald, signal
 
 
@@ -184,18 +190,6 @@ def hbt_split(s: TagStream, seed, channels=None) -> tuple[TagStream, TagStream]:
     mask = rng.random(s.tags.size) < 0.5
     return (TagStream(ch1, s.tags[mask], s.duration_ps),
             TagStream(ch2, s.tags[~mask], s.duration_ps))
-
-
-def qfc_transform(s: TagStream, efficiency: float, background_rate_per_s: float, seed) -> TagStream:
-    """Bernoulli thinning at the conversion efficiency plus Poisson background."""
-    if not 0 <= efficiency <= 1:
-        raise SimError("qfc_transform: efficiency outside [0, 1]")
-    if background_rate_per_s < 0:
-        raise SimError("qfc_transform: negative background rate")
-    rng = _rng(seed)
-    keep = rng.random(s.tags.size) < efficiency
-    bg = _poisson_times(rng, background_rate_per_s, s.duration_ps)
-    return TagStream(s.channel, _merge(s.tags[keep], bg), s.duration_ps)
 
 
 def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, TagStream]:

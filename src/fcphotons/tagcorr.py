@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import poisson_interval
 from .simkit import TagStream
 from .spectral import fringe_fit
 
@@ -49,8 +50,9 @@ class HeraldedG2Result:
     m_values: np.ndarray
     histogram: np.ndarray
     g2_zero: float
-    sigma: float
+    sigma: float  # large-count approximation; see heralded_g2
     plateau: float
+    g2_zero_interval: tuple[float, float]  # central 68.27 % exact Poisson interval
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,12 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     negative when the second detector fired before the first.  The histogram
     over that separation index, |m| <= G2_MAX_SEPARATION, is normalized by its
     plateau at |m| >= G2_PLATEAU_FROM and g2(0) is the normalized value at m = 0.
+
+    sigma, sqrt(max(h0, 1))/plateau with the plateau's error folded in, is the
+    large-count approximation; it collapses when the m = 0 count h0 is 0 or 1.
+    g2_zero_interval is the central 68.27 % exact (Garwood) Poisson interval
+    on h0 divided by the plateau.  It neglects the plateau's own error, which
+    is small beside h0's because the plateau averages 82 bins.
     """
     if window_ps <= 0:
         raise AnalysisError("heralded_g2: window must be positive")
@@ -195,7 +203,9 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     h0 = float(hist[m_values == 0][0])
     g2 = h0 / plateau
     sigma = np.sqrt(max(h0, 1.0)) / plateau * np.sqrt(1.0 + h0 / plat_counts.sum())
-    return HeraldedG2Result(m_values, hist, float(g2), float(sigma), float(plateau))
+    lo, hi = poisson_interval(int(h0))
+    return HeraldedG2Result(m_values, hist, float(g2), float(sigma), float(plateau),
+                            (lo / plateau, hi / plateau))
 
 
 def gated_coincidences(a: TagStream, b: TagStream, gate_ps: float,

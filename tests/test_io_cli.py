@@ -52,6 +52,22 @@ def test_ptag_round_trip(tmp_path):
         assert fh.read(4) == b"PTAG"
 
 
+def test_ptag_single_stream_matches_multi_stream_path(tmp_path):
+    rng = np.random.default_rng(2)
+    s = TagStream(1, np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)), 10**9)
+    io.write_ptag(tmp_path / "one.ptag", s)
+    io.write_ptag(tmp_path / "two.ptag", [s, TagStream(5, np.empty(0, dtype=np.int64), 0)])
+    assert (tmp_path / "one.ptag").read_bytes() == (tmp_path / "two.ptag").read_bytes()
+    # interleaved streams come out time ordered, ties in stream order
+    a = TagStream(0, np.array([0, 10, 20, 30], dtype=np.int64), 40)
+    b = TagStream(2, np.array([5, 10, 25], dtype=np.int64), 40)
+    io.write_ptag(tmp_path / "mixed.ptag", [a, b])
+    raw = np.frombuffer((tmp_path / "mixed.ptag").read_bytes()[io._HEADER_BYTES:],
+                        dtype=io._RECORD_DTYPE)
+    assert raw["timestamp_ps"].tolist() == [0, 5, 10, 10, 20, 25, 30]
+    assert raw["channel"].tolist() == [0, 2, 0, 2, 0, 2, 0]
+
+
 def test_ptag_bad_magic(tmp_path):
     path = tmp_path / "bad.ptag"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -341,8 +357,11 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     (MINIMAL_FRANSON, None),
     (MINIMAL_FRANSON + "[source]\npair_rate_per_s = 1e6\n",
      "unknown key source.pair_rate_per_s"),
+    (MINIMAL_SCENARIO + "[qfc]\nefficiency = 0.5\nbackground_rate_per_s = -1\n",
+     "qfc.background_rate_per_s must be nonnegative"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
-        "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source"])
+        "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
+        "negative_qfc_background"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import chi2, poisson
 
 from fcphotons.models import (
     ModelError,
@@ -9,6 +12,7 @@ from fcphotons.models import (
     accidental_rate_per_bin,
     fit_sbr,
     g2_from_sbr,
+    poisson_interval,
     sbr_model,
     singles_rate,
     true_coincidence_rate,
@@ -143,3 +147,30 @@ def test_rate_model_params_validation():
         RateModelParams(-1.0, 0.0, 1.5e-9)
     with pytest.raises(ModelError):
         RateModelParams(1.0, 0.0, 0.0)
+
+
+NOMINAL = math.erf(1 / math.sqrt(2))  # 68.27 %
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 30, 1000, 10**5])
+def test_poisson_interval_equals_chi2_form(n):
+    tail = (1 - NOMINAL) / 2
+    lo, hi = poisson_interval(n)
+    assert lo == (0.0 if n == 0 else pytest.approx(chi2.ppf(tail, 2 * n) / 2, rel=1e-9))
+    assert hi == pytest.approx(chi2.ppf(1 - tail, 2 * n + 2) / 2, rel=1e-9)
+
+
+def test_poisson_interval_coverage():
+    intervals = np.array([poisson_interval(n) for n in range(60)])
+    # 400 synthetic counts at means 0.5 to 5
+    rng = np.random.default_rng(17)
+    means = np.repeat(np.linspace(0.5, 5.0, 10), 40)
+    lo, hi = intervals[rng.poisson(means)].T
+    assert np.mean((lo <= means) & (means <= hi)) >= NOMINAL
+    # exact coverage at every mean of a fine grid: Garwood never undercovers
+    ns = np.arange(60)
+    for mu in np.linspace(0.5, 5.0, 200):
+        covered = (intervals[:, 0] <= mu) & (mu <= intervals[:, 1])
+        assert poisson.pmf(ns[covered], mu).sum() >= NOMINAL
+    with pytest.raises(ModelError):
+        poisson_interval(-1)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fcphotons import io
+from fcphotons.cli import main
 from fcphotons.simkit import (
     DetectorModel,
     FransonMcConfig,
@@ -11,7 +13,6 @@ from fcphotons.simkit import (
     franson_sample,
     generate_pair_streams,
     hbt_split,
-    qfc_transform,
 )
 from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import gated_coincidences
@@ -140,18 +141,47 @@ def test_hbt_split():
     assert o1.tags.size + o2.tags.size == 1
 
 
-def test_qfc_transform():
-    n = 10**6
-    tags = np.sort(np.random.default_rng(13).integers(0, SEC, n, dtype=np.int64))
-    s = TagStream(0, tags, SEC)
-    out = qfc_transform(s, 0.08, 0.0, seed=14)
-    assert abs(out.tags.size - 0.08 * n) < 4 * np.sqrt(0.08 * n)
-    ident = qfc_transform(s, 1.0, 0.0, seed=15)
-    assert np.array_equal(ident.tags, tags)
-    bg = qfc_transform(s, 0.0, 5000.0, seed=16)
-    assert abs(bg.tags.size - 5000) < 4 * np.sqrt(5000)
-    with pytest.raises(SimError):
-        qfc_transform(s, 1.5, 0.0, seed=0)
+CONVERTED = dict(P=2e6, q1=0.1, q2=0.3, eta1=0.5, W1=500.0, W2=2300.0, eff=0.08, B=1000.0)
+
+
+def simulate_converted(tmp_path, eta2):
+    """herald and HBT-merged signal streams of a 1 s simulate run with a converter."""
+    c = CONVERTED
+    sc = tmp_path / "converted.ini"
+    sc.write_text(
+        f"[run]\nkind = g2_chain\nduration_ps = {SEC}\n"
+        f"[source]\npair_rate_per_s = {c['P']}\nq1 = {c['q1']}\nq2 = {c['q2']}\n"
+        f"eta1 = {c['eta1']}\neta2 = {eta2}\n"
+        f"dark1_per_s = {c['W1']}\ndark2_per_s = {c['W2']}\n"
+        f"[qfc]\nefficiency = {c['eff']}\nbackground_rate_per_s = {c['B']}\n")
+    out = tmp_path / f"run_{eta2}"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(out), "--seed", "5"]) == 0
+    (herald,) = io.read_ptag(out / "herald.ptag")
+    hbt = [io.read_ptag(out / f"hbt{k}.ptag") for k in (1, 2)]
+    tags = np.sort(np.concatenate([s.tags for streams in hbt for s in streams]))
+    return herald, TagStream(1, tags, SEC)
+
+
+def test_converter_closed_form(tmp_path):
+    c = CONVERTED
+    eta2 = 0.6
+    herald, signal = simulate_converted(tmp_path, eta2)
+    expected = {
+        "herald": c["P"] * c["eta1"] * (1 + c["q1"]) + c["W1"],
+        # darks and converter background arrive at the detector, not thinned
+        "signal": c["P"] * eta2 * c["eff"] * (1 + c["q2"]) + c["W2"] + c["B"],
+        "coincidences": c["P"] * c["eta1"] * eta2 * c["eff"],
+    }
+    observed = {"herald": herald.tags.size, "signal": signal.tags.size,
+                "coincidences": gated_coincidences(herald, signal, gate_ps=3)}
+    for key, mean in expected.items():
+        assert abs(observed[key] - mean) < 4 * np.sqrt(mean), (key, observed[key], mean)
+
+
+def test_converter_blocked_arm_keeps_darks_and_background(tmp_path):
+    _, signal = simulate_converted(tmp_path, 0.0)
+    mean = CONVERTED["W2"] + CONVERTED["B"]
+    assert abs(signal.tags.size - mean) < 4 * np.sqrt(mean)
 
 
 def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,

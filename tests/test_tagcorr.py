@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,10 @@ def test_heralded_g2_perfect_singles_is_zero():
     res = heralded_g2(herald, hbt1, hbt2, window_ps=1500)
     assert res.g2_zero == 0.0
     assert res.plateau > 100
+    # h0 = 0: the interval starts at 0 and ends where P(0 | mu) = 15.87 %
+    lo, hi = res.g2_zero_interval
+    assert lo == 0.0
+    assert hi * res.plateau == pytest.approx(-np.log(0.5 * math.erfc(1 / math.sqrt(2))))
 
 
 def test_heralded_g2_uncorrelated_is_one():
@@ -143,6 +149,8 @@ def test_heralded_g2_uncorrelated_is_one():
     hbt2 = poisson_stream(1e5, SEC, 52, channel=2)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=10**7)
     assert abs(res.g2_zero - 1.0) < 3 * res.sigma
+    lo, hi = res.g2_zero_interval
+    assert lo < res.g2_zero < hi
 
 
 def test_heralded_g2_sbr3_matches_eq5():
