@@ -8,21 +8,14 @@ import sys
 import numpy as np
 
 from . import io, models, simkit, spectral, tagcorr, twophoton
-from .scenario import Scenario, ScenarioError, franson_phases, load_scenario
+from .scenario import BUNDLED_DIR, Scenario, ScenarioError, franson_phases, load_scenario
 
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5b", "fig5c")
+# the bundled scenario holds the paper's spectral and apparatus constants for fig2-4
+PAPER_SCENARIO = os.path.join(BUNDLED_DIR, "franson.ini")
 
 
 class CliError(Exception):
     pass
-
-
-def _pair_coherence(s: spectral.Spectrum, pm: spectral.PhaseMatching):
-    """Model pair coherence: source envelope x converter-filtered envelope."""
-    filtered = spectral.apply_phase_matching(s, pm)
-    env_a = spectral.coherence_envelope(s, tau_max=40.0, n_points=2001)
-    env_b = spectral.coherence_envelope(filtered, tau_max=40.0, n_points=2001)
-    return twophoton.pair_coherence(env_a, env_b)
 
 
 def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
@@ -60,9 +53,9 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
 
 def _simulate_franson(scenario: Scenario, out_dir, seed):
     fr = scenario.franson
-    pc = _pair_coherence(scenario.source_spectrum(), scenario.phase_matching)
     cfg = simkit.FransonMcConfig(
-        pc=pc,
+        pc=twophoton.converted_pair_coherence(scenario.source_spectrum(),
+                                              scenario.phase_matching),
         delay_imbalance_ps=fr.delay_imbalance_ps,
         delay_ps=fr.delay_ps,
         v_app=fr.v_mi * fr.v_mzi,
@@ -92,7 +85,7 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
         "delay_ps": fr.delay_ps,
         "delay_imbalance_ps": fr.delay_imbalance_ps,
         "gate_ps": scenario.gate_ps,
-        "configured_visibility": fr.v_mi * fr.v_mzi * pc.at(float(fr.delay_imbalance_ps)),
+        "configured_visibility": cfg.visibility,
         "scan": files,
     }
     io.write_summary(os.path.join(out_dir, "summary.json"), summary)
@@ -163,12 +156,14 @@ def _analyze_franson(args, out_dir) -> dict:
     if not isinstance(run, dict) or run.get("kind") != "franson":
         raise CliError(f"{run_dir}: not a franson run")
     gate = args.gate_ps or run.get("gate_ps")
-    if gate is None:
-        raise CliError(f"{summary_path}: no gate_ps; give --gate-ps")
+    if isinstance(gate, bool) or not isinstance(gate, int) or gate <= 0:
+        raise CliError(f"{summary_path}: gate_ps {gate!r} is not a positive integer of ps; "
+                       "give --gate-ps")
     scan = run.get("scan")
     if not isinstance(scan, list) or not all(
-            isinstance(e, dict) and {"phase_rad", "a", "b"} <= e.keys() for e in scan):
-        raise CliError(f"{summary_path}: 'scan' must list entries with phase_rad, a and b")
+            isinstance(e, dict) and {"phase_rad", "a", "b"} <= e.keys()
+            and isinstance(e["a"], str) and isinstance(e["b"], str) for e in scan):
+        raise CliError(f"{summary_path}: 'scan' must list phase_rad and file names a and b")
     scans = []
     for entry in scan:
         a = _read_single(os.path.join(run_dir, entry["a"]))
@@ -243,41 +238,45 @@ def cmd_fit(args):
     return 0
 
 
-def _reproduce_fig2(out_dir):
-    s = spectral.default_source_spectrum()
+def _reproduce_fig2(out_dir, which):
+    sc = load_scenario(PAPER_SCENARIO)
+    s = sc.source_spectrum()
     env = spectral.coherence_envelope(s, tau_max=12.0, n_points=1201)
-    params = "synthetic Gaussian source line, 173 GHz FWHM; apparatus ceiling 0.88"
-    io.save_curve(os.path.join(out_dir, "fig2_spectrum.csv"),
+    params = (f"synthetic Gaussian source line, {sc.spectrum_fwhm_ghz:g} GHz FWHM; "
+              f"apparatus ceiling {sc.franson.v_mi:g}")
+    io.save_curve(os.path.join(out_dir, f"{which}_spectrum.csv"),
                   s.nu_grid, s.intensity, ("nu_GHz", "intensity"), comment=params)
-    io.save_curve(os.path.join(out_dir, "fig2_visibility.csv"),
-                  env.tau_grid, 0.88 * env.magnitude, ("tau_ps", "visibility"),
+    io.save_curve(os.path.join(out_dir, f"{which}_visibility.csv"),
+                  env.tau_grid, sc.franson.v_mi * env.magnitude, ("tau_ps", "visibility"),
                   comment=params)
 
 
-def _reproduce_fig3(out_dir):
-    s = spectral.default_source_spectrum()
-    pm = spectral.PhaseMatching(fwhm_ghz=118.0)
-    filtered = spectral.apply_phase_matching(s, pm)
+def _reproduce_fig3(out_dir, which):
+    sc = load_scenario(PAPER_SCENARIO)
+    filtered = spectral.apply_phase_matching(sc.source_spectrum(), sc.phase_matching)
     env = spectral.coherence_envelope(filtered, tau_max=25.0, n_points=2001)
     tau_c = spectral.coherence_time(env)
     bw = spectral.integral_bandwidth(filtered)
-    params = (f"source Gaussian 173 GHz FWHM x sinc^2 filter 118 GHz FWHM; "
-              f"coherence_time_ps={tau_c:.4f}; bandwidth_ghz={bw:.3f}; apparatus ceiling 0.88")
-    io.save_curve(os.path.join(out_dir, "fig3_spectrum.csv"),
+    params = (f"source Gaussian {sc.spectrum_fwhm_ghz:g} GHz FWHM x sinc^2 filter "
+              f"{sc.phase_matching.fwhm_ghz:g} GHz FWHM; coherence_time_ps={tau_c:.4f}; "
+              f"bandwidth_ghz={bw:.3f}; apparatus ceiling {sc.franson.v_mi:g}")
+    io.save_curve(os.path.join(out_dir, f"{which}_spectrum.csv"),
                   filtered.nu_grid, filtered.intensity, ("nu_GHz", "intensity"),
                   comment=params)
-    io.save_curve(os.path.join(out_dir, "fig3_visibility.csv"),
-                  env.tau_grid, 0.88 * env.magnitude, ("tau_ps", "visibility"),
+    io.save_curve(os.path.join(out_dir, f"{which}_visibility.csv"),
+                  env.tau_grid, sc.franson.v_mi * env.magnitude, ("tau_ps", "visibility"),
                   comment=params)
 
 
-def _reproduce_fig4(out_dir):
-    pc = _pair_coherence(spectral.default_source_spectrum(),
-                         spectral.PhaseMatching(fwhm_ghz=118.0))
-    curve = twophoton.expected_visibility_curve(pc, 0.88, 0.95)
+def _reproduce_fig4(out_dir, which):
+    sc = load_scenario(PAPER_SCENARIO)
+    fr = sc.franson
+    pc = twophoton.converted_pair_coherence(sc.source_spectrum(), sc.phase_matching)
+    curve = twophoton.expected_visibility_curve(pc, fr.v_mi, fr.v_mzi)
     keep = np.abs(curve.tau) <= 40.0
-    params = "v(dtau) = 0.88 * 0.95 * F(dtau); peak 0.836"
-    io.save_curve(os.path.join(out_dir, "fig4_visibility_vs_imbalance.csv"),
+    params = (f"v(dtau) = {fr.v_mi:g} * {fr.v_mzi:g} * F(dtau); "
+              f"peak {curve.visibility.max():.3f}")
+    io.save_curve(os.path.join(out_dir, f"{which}_visibility_vs_imbalance.csv"),
                   curve.tau[keep], curve.visibility[keep],
                   ("delay_imbalance_ps", "visibility"), comment=params)
 
@@ -304,18 +303,14 @@ def _reproduce_fig5(out_dir, which):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+# figure id -> writer of its model curves, called as writer(out_dir, figure id)
+FIGURES = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
+           "fig5b": _reproduce_fig5, "fig5c": _reproduce_fig5}
+
+
 def cmd_reproduce(args):
-    if args.figure not in FIGURE_IDS:
-        raise CliError(f"unknown figure id {args.figure!r}; choose from {FIGURE_IDS}")
     os.makedirs(args.out, exist_ok=True)
-    if args.figure == "fig2":
-        _reproduce_fig2(args.out)
-    elif args.figure == "fig3":
-        _reproduce_fig3(args.out)
-    elif args.figure == "fig4":
-        _reproduce_fig4(args.out)
-    else:
-        _reproduce_fig5(args.out, args.figure)
+    FIGURES[args.figure](args.out, args.figure)
     return 0
 
 
@@ -360,7 +355,7 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("reproduce", help="emit model curves for a figure id")
-    p.add_argument("figure", choices=FIGURE_IDS)
+    p.add_argument("figure", choices=FIGURES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reproduce)
 

@@ -1,4 +1,4 @@
-"""File formats: curve and table CSV, PTAG binary tag files, JSON summaries."""
+"""File formats: curve CSV out, spectrum and table CSV in, PTAG tag files, JSON summaries."""
 
 import json
 import os
@@ -19,15 +19,12 @@ class FileFormatError(ValueError):
     pass
 
 
-def load_spectrum(path, center_wavelength_nm: float = 0.0) -> Spectrum:
-    """Read a "nu_GHz,intensity" text file; '#' lines are comments."""
-    nu, inten = load_curve(path)
-    return Spectrum(nu, inten, center_wavelength_nm)
-
-
-def save_spectrum(path, s: Spectrum) -> None:
-    save_curve(path, s.nu_grid, s.intensity, ("nu_GHz", "intensity"),
-               comment=f"center_wavelength_nm={s.center_wavelength_nm}")
+def load_spectrum(path) -> Spectrum:
+    """A spectrum from the first two columns, nu_GHz and intensity, of a load_table CSV."""
+    data = load_table(path)
+    if data.shape[1] < 2:
+        raise FileFormatError(f"{path}: need at least two columns")
+    return Spectrum(data[:, 0], data[:, 1])
 
 
 def save_curve(path, x, y, names=("x", "y"), comment: str = "") -> None:
@@ -62,14 +59,6 @@ def load_table(path) -> np.ndarray:
     if len({len(r) for r in rows}) > 1:
         raise FileFormatError(f"{path}: rows differ in column count")
     return np.asarray(rows, dtype=float)
-
-
-def load_curve(path):
-    """Read the first two numeric columns of a curve CSV."""
-    data = load_table(path)
-    if data.shape[1] < 2:
-        raise FileFormatError(f"{path}: need at least two columns")
-    return data[:, 0], data[:, 1]
 
 
 def write_ptag(path, streams) -> None:

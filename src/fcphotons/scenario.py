@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -53,12 +54,19 @@ class Scenario:
         return spectral.gaussian_spectrum(self.spectrum_fwhm_ghz)
 
 
+def _to_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _to_int(raw: str) -> int:
-    return int(float(raw))
+    return int(_to_float(raw))
 
 
 # converter for each field type of the dataclasses read section by section
-_CONVERTERS = {int: _to_int, float: float}
+_CONVERTERS = {int: _to_int, float: _to_float}
 
 
 def _resolve(path) -> str:
@@ -115,12 +123,16 @@ def load_scenario(path) -> Scenario:
 
     qfc_eff = None
     if parser.has_section("qfc"):
-        qfc_eff = get("qfc", "efficiency", float)
+        qfc_eff = get("qfc", "efficiency", _to_float)
         if not 0 <= qfc_eff <= 1:
             raise ScenarioError(f"{path}: qfc.efficiency outside [0, 1]")
-    qfc_background = get("qfc", "background_rate_per_s", float, 0.0)
+    qfc_background = get("qfc", "background_rate_per_s", _to_float, 0.0)
     if qfc_background < 0:
         raise ScenarioError(f"{path}: qfc.background_rate_per_s must be nonnegative")
+
+    gate_ps = get("analysis", "gate_ps", _to_int, 512)
+    if gate_ps <= 0:
+        raise ScenarioError(f"{path}: analysis.gate_ps must be positive")
 
     spectrum_file = get("spectrum", "file", str, "") or None
     if spectrum_file is not None:
@@ -138,11 +150,11 @@ def load_scenario(path) -> Scenario:
         detector_signal=build(DetectorModel, "detector_signal"),
         qfc_efficiency=qfc_eff,
         qfc_background_per_s=qfc_background,
-        spectrum_fwhm_ghz=get("spectrum", "gaussian_fwhm_ghz", float, 173.0),
+        spectrum_fwhm_ghz=get("spectrum", "gaussian_fwhm_ghz", _to_float, 173.0),
         spectrum_file=spectrum_file,
         phase_matching=build(PhaseMatching, "phase_matching"),
         franson=build(FransonScanSettings, "franson"),
-        gate_ps=get("analysis", "gate_ps", _to_int, 512),
+        gate_ps=gate_ps,
     )
     for section in parser.sections():
         for key in parser.options(section):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .twophoton import PairCoherence
+from .twophoton import PairCoherence, coincidence_rate
 
 MAX_EXPECTED_COUNTS = 2**31
 
@@ -97,6 +97,11 @@ class FransonMcConfig:
             raise SimError("FransonMcConfig: delay must be positive")
         if not 0 <= self.v_app <= 1:
             raise SimError("FransonMcConfig: v_app outside [0, 1]")
+
+    @property
+    def visibility(self) -> float:
+        """Fringe visibility V = v_app * F(delay imbalance)."""
+        return self.v_app * self.pc.at(float(self.delay_imbalance_ps))
 
 
 def _poisson_times(rng, rate_per_s, duration_ps):
@@ -197,7 +202,7 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
 
     Photon A is delayed by 0 or D, photon B by 0 or D + delay_imbalance.  The
     indistinguishable short-short / long-long combinations share probability
-    0.5 * (1 + v_app * F(dtau) * cos(phase)); the distinguishable combinations
+    0.5 * coincidence_rate(v_app * F(dtau), phase); the distinguishable combinations
     absorb the complement so the per-pair total is exactly 1 and the overall
     flux is phase independent.
     """
@@ -207,18 +212,12 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
     d_b = cfg.delay_ps + cfg.delay_imbalance_ps
     if d_b <= 0:
         raise SimError("franson_sample: B-arm long path is nonpositive")
-    f = cfg.pc.at(float(cfg.delay_imbalance_ps))
-    p_central = 0.5 * (1.0 + cfg.v_app * f * np.cos(cfg.phase_rad))
+    p_central = 0.5 * coincidence_rate(cfg.visibility, cfg.phase_rad)
 
+    # u in [0, 1) falls in short-short, long-long, short-long, long-short in turn
     u = rng.random(pair_times.size)
-    long_a = np.empty(pair_times.size, dtype=bool)
-    long_b = np.empty(pair_times.size, dtype=bool)
-    ss = u < p_central / 2.0
-    ll = (u >= p_central / 2.0) & (u < p_central)
-    sl = (u >= p_central) & (u < p_central + (1.0 - p_central) / 2.0)
-    ls = u >= p_central + (1.0 - p_central) / 2.0
-    long_a[:] = ll | ls
-    long_b[:] = ll | sl
+    long_b = (u >= p_central / 2.0) & (u < p_central + (1.0 - p_central) / 2.0)
+    long_a = long_b ^ (u >= p_central)
 
     margin = int(6 * max(cfg.detector_a.jitter_sigma_ps, cfg.detector_b.jitter_sigma_ps))
     duration = int(pair_times.max() if pair_times.size else 0) + d_a + d_b + margin + 1
@@ -226,8 +225,5 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
     t_b = pair_times + np.where(long_b, d_b, 0)
     t_a.sort()
     t_b.sort()
-    stream_a = TagStream(0, t_a, duration)
-    stream_b = TagStream(1, t_b, duration)
-    stream_a = apply_detector(stream_a, cfg.detector_a, rng)
-    stream_b = apply_detector(stream_b, cfg.detector_b, rng)
-    return stream_a, stream_b
+    return (apply_detector(TagStream(0, t_a, duration), cfg.detector_a, rng),
+            apply_detector(TagStream(1, t_b, duration), cfg.detector_b, rng))

@@ -49,7 +49,6 @@ class Spectrum:
 
     nu_grid: np.ndarray
     intensity: np.ndarray
-    center_wavelength_nm: float = 0.0
     step: float = field(init=False)
 
     def __post_init__(self):
@@ -96,25 +95,6 @@ class CoherenceEnvelope:
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "magnitude", mag)
         object.__setattr__(self, "step", step)
-
-
-@dataclass(frozen=True)
-class VisibilityCurve:
-    """Fringe visibility vs delay, optionally with 1-sigma errors."""
-
-    tau: np.ndarray
-    visibility: np.ndarray
-    sigma: np.ndarray | None = None
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        vis = np.asarray(self.visibility, dtype=float)
-        if np.any(vis < 0) or np.any(vis > 1 + 1e-9):
-            raise SpectralError("VisibilityCurve: visibility outside [0, 1]")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "visibility", vis)
-        if self.sigma is not None:
-            object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
 
 
 def integral_bandwidth(s: Spectrum) -> float:
@@ -191,7 +171,7 @@ def apply_phase_matching(s: Spectrum, pm: PhaseMatching) -> Spectrum:
     """Pointwise product of the spectrum with the sinc^2 acceptance curve."""
     k = 2.0 * SINC_HALF_X / pm.fwhm_ghz
     factor = _sinc2(k * (s.nu_grid - pm.center_offset_ghz))
-    return Spectrum(s.nu_grid, s.intensity * factor, s.center_wavelength_nm)
+    return Spectrum(s.nu_grid, s.intensity * factor)
 
 
 def sinc2_spectrum(center: float, fwhm: float, grid) -> Spectrum:
@@ -204,8 +184,7 @@ def sinc2_spectrum(center: float, fwhm: float, grid) -> Spectrum:
 
 
 def gaussian_spectrum(fwhm: float, center: float = 0.0, grid=None,
-                      span_sigmas: float = 8.0, n_points: int = 2049,
-                      center_wavelength_nm: float = 0.0) -> Spectrum:
+                      span_sigmas: float = 8.0, n_points: int = 2049) -> Spectrum:
     """Gaussian line of the given FWHM (GHz); default grid spans +-8 sigma."""
     if fwhm <= 0:
         raise SpectralError("gaussian_spectrum: fwhm must be positive")
@@ -214,13 +193,12 @@ def gaussian_spectrum(fwhm: float, center: float = 0.0, grid=None,
         grid = np.linspace(center - span_sigmas * sigma,
                            center + span_sigmas * sigma, n_points)
     grid = np.asarray(grid, dtype=float)
-    return Spectrum(grid, np.exp(-0.5 * ((grid - center) / sigma) ** 2),
-                    center_wavelength_nm)
+    return Spectrum(grid, np.exp(-0.5 * ((grid - center) / sigma) ** 2))
 
 
 def default_source_spectrum() -> Spectrum:
     """Synthetic stand-in for the measured source line: Gaussian, 173 GHz FWHM."""
-    return gaussian_spectrum(173.0, center_wavelength_nm=854.0)
+    return gaussian_spectrum(173.0)
 
 
 def _fringe_model(x, c, v, omega, phi):

@@ -1,10 +1,11 @@
-"""Two-photon (Franson) coherence: F(dtau), coincidence fringes, Bell bounds."""
+"""Two-photon (Franson) coherence: F(dtau), the fringe model 1 + V cos(phase), Bell bounds."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import CoherenceEnvelope, SpectralError, VisibilityCurve, _check_uniform_grid
+from .spectral import (CoherenceEnvelope, PhaseMatching, SpectralError, Spectrum,
+                       _check_uniform_grid, apply_phase_matching, coherence_envelope)
 
 BELL_BOUND = 1.0 / np.sqrt(2.0)
 CLASSICAL_BOUND = 0.5
@@ -37,30 +38,11 @@ class PairCoherence:
 
 
 @dataclass(frozen=True)
-class FransonSettings:
-    """Interferometer pair configuration for the coincidence-rate model."""
+class VisibilityCurve:
+    """Expected fringe visibility vs delay imbalance (ps)."""
 
-    tau_a_ps: float
-    tau_b_ps: float
-    phi_a: float = 0.0
-    phi_b: float = 0.0
-    omega_a: float = 0.0  # rad/ps
-    omega_b: float = 0.0  # rad/ps
-    phi_0: float = 0.0
-    gamma_p: float = 1.0  # pump coherence magnitude; delays << pump coherence time
-    v_mi: float = 1.0
-    v_mzi: float = 1.0
-
-    def __post_init__(self):
-        for name in ("gamma_p", "v_mi", "v_mzi"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise SpectralError(f"FransonSettings: {name} outside [0, 1]")
-
-    @property
-    def phase_sum(self) -> float:
-        return (self.omega_a * self.tau_a_ps + self.omega_b * self.tau_b_ps
-                + self.phi_a + self.phi_b + self.phi_0)
+    tau: np.ndarray
+    visibility: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,15 +52,10 @@ class BellResult:
     violation_sigmas: float
     classical_sigmas: float
     bound: float = BELL_BOUND
-    classical_bound: float = CLASSICAL_BOUND
 
     @property
     def violates_bell(self) -> bool:
         return self.violation_sigmas > 0
-
-    @property
-    def nonclassical(self) -> bool:
-        return self.classical_sigmas > 0
 
 
 def pair_coherence(a: CoherenceEnvelope, b: CoherenceEnvelope) -> PairCoherence:
@@ -105,15 +82,25 @@ def pair_coherence(a: CoherenceEnvelope, b: CoherenceEnvelope) -> PairCoherence:
     return PairCoherence(dtau, np.minimum(overlap / norm, 1.0))
 
 
-def coincidence_rate(settings: FransonSettings, pc: PairCoherence) -> float:
-    """Relative Franson coincidence rate, 1 + v F gamma_p cos(phase sum)."""
-    f = pc.at(settings.tau_a_ps - settings.tau_b_ps)
-    mod = settings.v_mi * settings.v_mzi * f * settings.gamma_p
-    return float(1.0 + mod * np.cos(settings.phase_sum))
+def converted_pair_coherence(s: Spectrum, pm: PhaseMatching) -> PairCoherence:
+    """F(dtau) of the envelopes of a line and of that line after the converter, +-40 ps."""
+    env_a = coherence_envelope(s, tau_max=40.0, n_points=2001)
+    env_b = coherence_envelope(apply_phase_matching(s, pm), tau_max=40.0, n_points=2001)
+    return pair_coherence(env_a, env_b)
+
+
+def coincidence_rate(visibility, phase):
+    """Relative Franson coincidence rate 1 + V cos(phase), V = v_mi * v_mzi * F(dtau).
+
+    Franson, Phys. Rev. Lett. 62, 2205 (1989); phase may be an array.
+    """
+    return 1.0 + visibility * np.cos(phase)
 
 
 def expected_visibility_curve(pc: PairCoherence, v_mi: float, v_mzi: float) -> VisibilityCurve:
-    """Expected fringe visibility vs imbalance, v(dtau) = v_mi * v_mzi * F."""
+    """Expected fringe visibility vs imbalance, V(dtau) = v_mi * v_mzi * F(dtau)."""
+    if not (0.0 <= v_mi <= 1.0 and 0.0 <= v_mzi <= 1.0):
+        raise SpectralError("expected_visibility_curve: v_mi and v_mzi must lie in [0, 1]")
     return VisibilityCurve(pc.dtau_grid, v_mi * v_mzi * pc.f_value)
 
 

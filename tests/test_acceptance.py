@@ -54,11 +54,8 @@ def test_03_filtering_direction():
 
 
 def model_pair_coherence():
-    s = spectral.gaussian_spectrum(173.0)
-    filtered = spectral.apply_phase_matching(s, spectral.PhaseMatching(fwhm_ghz=118.0))
-    env_a = spectral.coherence_envelope(s, 40.0, 2001)
-    env_b = spectral.coherence_envelope(filtered, 40.0, 2001)
-    return twophoton.pair_coherence(env_a, env_b)
+    return twophoton.converted_pair_coherence(spectral.gaussian_spectrum(173.0),
+                                              spectral.PhaseMatching(fwhm_ghz=118.0))
 
 
 def test_04_franson_closed_form_peak():

@@ -1,3 +1,4 @@
+import ast
 import importlib.resources
 import os
 import shlex
@@ -127,10 +128,10 @@ def test_ptag_beyond_int64_rejected(tmp_path, capsys, timestamp, duration_ps):
 
 
 def test_spectrum_file_round_trip(tmp_path):
-    s = gaussian_spectrum(120.0, n_points=257, center_wavelength_nm=854.0)
+    s = gaussian_spectrum(120.0, n_points=257)
     path = tmp_path / "spectrum.csv"
-    io.save_spectrum(path, s)
-    back = io.load_spectrum(path, center_wavelength_nm=854.0)
+    io.save_curve(path, s.nu_grid, s.intensity, ("nu_GHz", "intensity"), comment="source")
+    back = io.load_spectrum(path)
     assert np.allclose(back.nu_grid, s.nu_grid)
     assert np.allclose(back.intensity, s.intensity)
 
@@ -147,9 +148,9 @@ def test_curve_round_trip(tmp_path):
     y = x**2
     path = tmp_path / "curve.csv"
     io.save_curve(path, x, y, ("dtau_ps", "f_value"), comment="model curve")
-    bx, by = io.load_curve(path)
-    assert np.allclose(bx, x)
-    assert np.allclose(by, y)
+    back = io.load_table(path)
+    assert np.allclose(back[:, 0], x)
+    assert np.allclose(back[:, 1], y)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -186,8 +187,8 @@ def test_simulate_and_analyze_g2_chain(tmp_path):
 
 def test_simulate_zero_duration(tmp_path):
     src = scenario_path("g2_chain.ini")
-    text = open(src).read().replace("duration_ps = 100000000000   # 0.1 s",
-                                    "duration_ps = 0")
+    text = Path(src).read_text().replace("duration_ps = 100000000000   # 0.1 s",
+                                         "duration_ps = 0")
     sc = tmp_path / "empty.ini"
     sc.write_text(text)
     out = tmp_path / "out"
@@ -241,6 +242,9 @@ def test_simulate_and_analyze_franson(tmp_path):
 
 
 
+SCAN_ENTRY = {"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}
+
+
 @pytest.mark.parametrize("summary", [
     {"kind": "franson"},
     {"kind": "franson", "gate_ps": 512},
@@ -248,8 +252,17 @@ def test_simulate_and_analyze_franson(tmp_path):
     {"kind": "franson", "gate_ps": 512, "scan": [{"phase_rad": 0.0, "a": "x.ptag"}]},
     {"kind": "franson", "scan": [{"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}]},
     ["franson"],
-], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "no_gate", "not_object"])
+    {"kind": "franson", "gate_ps": "512", "scan": [SCAN_ENTRY]},
+    {"kind": "franson", "gate_ps": -5, "scan": [SCAN_ENTRY]},
+    {"kind": "franson", "gate_ps": True, "scan": [SCAN_ENTRY]},
+    {"kind": "franson", "gate_ps": 512.0, "scan": [SCAN_ENTRY]},
+    {"kind": "franson", "gate_ps": 512, "scan": [{**SCAN_ENTRY, "a": 0}]},
+], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "no_gate", "not_object",
+        "gate_string", "gate_negative", "gate_bool", "gate_float", "file_not_string"])
 def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
+    # empty tag files stand by, so only the summary's own defects can fail the run
+    for name in ("x.ptag", "y.ptag"):
+        io.write_ptag(tmp_path / name, [])
     io.write_summary(tmp_path / "summary.json", summary)
     rc = main(["analyze", str(tmp_path), "--mode", "franson", "--out", str(tmp_path / "ana")])
     assert rc == 2
@@ -301,9 +314,9 @@ def test_cli_reproduce_all_figures(tmp_path):
     for fig in ("fig2", "fig3", "fig4", "fig5b", "fig5c"):
         out = tmp_path / fig
         assert main(["reproduce", fig, "--out", str(out)]) == 0
-        assert any(os.scandir(out))
-    x, y = io.load_curve(tmp_path / "fig4" / "fig4_visibility_vs_imbalance.csv")
-    assert max(y) == pytest.approx(0.836, abs=0.001)
+        assert os.listdir(out)
+    fig4 = io.load_table(tmp_path / "fig4" / "fig4_visibility_vs_imbalance.csv")
+    assert fig4[:, 1].max() == pytest.approx(0.836, abs=0.001)
     with open(tmp_path / "fig5c" / "fig5c_sbr_vs_herald_rate.csv") as fh:
         header = fh.read().splitlines()[0]
     assert "a=6.78" in header and "a=19.1" in header
@@ -339,8 +352,8 @@ def test_cli_bad_scenario(tmp_path):
 
 def test_cli_scenario_missing_spectrum_file(tmp_path):
     src = scenario_path("franson.ini")
-    text = open(src).read().replace("[spectrum]\ngaussian_fwhm_ghz = 173",
-                                    "[spectrum]\nfile = does_not_exist.csv")
+    text = Path(src).read_text().replace("[spectrum]\ngaussian_fwhm_ghz = 173",
+                                         "[spectrum]\nfile = does_not_exist.csv")
     sc = tmp_path / "bad_spectrum.ini"
     sc.write_text(text)
     assert main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "o")]) == 2
@@ -359,9 +372,14 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "unknown key source.pair_rate_per_s"),
     (MINIMAL_SCENARIO + "[qfc]\nefficiency = 0.5\nbackground_rate_per_s = -1\n",
      "qfc.background_rate_per_s must be nonnegative"),
+    (MINIMAL_SCENARIO + "[detector_herald]\njitter_sigma_ps = nan\n",
+     "bad value for detector_herald.jitter_sigma_ps: 'nan'"),
+    (MINIMAL_SCENARIO.replace("duration_ps = 1000", "duration_ps = inf"),
+     "bad value for run.duration_ps: 'inf'"),
+    (MINIMAL_SCENARIO + "[analysis]\ngate_ps = -4\n", "analysis.gate_ps must be positive"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
-        "negative_qfc_background"])
+        "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"
@@ -398,3 +416,11 @@ def test_readme_cli_commands_run_as_written(tmp_path, monkeypatch):
     assert len(commands) >= 6
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_readme_library_quick_start_runs_as_written(capsys):
+    block = README.read_text(encoding="utf-8").split("## Quick start (library)")[1]
+    exec(block.split("```python")[1].split("```")[0], {})
+    peak, fidelity = capsys.readouterr().out.splitlines()
+    assert float(peak) == pytest.approx(0.836, abs=0.001)
+    assert ast.literal_eval(fidelity)[0] == pytest.approx(0.919, abs=1e-9)

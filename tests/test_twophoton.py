@@ -13,7 +13,6 @@ from fcphotons.spectral import (
 )
 from fcphotons.twophoton import (
     BELL_BOUND,
-    FransonSettings,
     PairCoherence,
     bell_check,
     coincidence_rate,
@@ -91,60 +90,31 @@ def test_pair_coherence_zero_overlap():
 
 
 def test_coincidence_rate_closed_form():
-    pc = flat_pc(1.0)
-    base = dict(tau_a_ps=0.0, tau_b_ps=0.0, v_mi=0.88, v_mzi=0.95)
-    r0 = coincidence_rate(FransonSettings(phi_0=0.0, **base), pc)
-    rpi = coincidence_rate(FransonSettings(phi_0=np.pi, **base), pc)
+    v = 0.88 * 0.95 * flat_pc(1.0).at(0.0)
+    r0 = coincidence_rate(v, 0.0)
+    rpi = coincidence_rate(v, np.pi)
     assert r0 == pytest.approx(1.836, abs=1e-9)
     assert rpi == pytest.approx(0.164, abs=1e-9)
     assert (r0 - rpi) / (r0 + rpi) == pytest.approx(0.836, abs=1e-9)
 
 
-def test_coincidence_rate_incoherent_pump():
-    pc = flat_pc(1.0)
-    for phi in np.linspace(0, 2 * np.pi, 7):
-        r = coincidence_rate(FransonSettings(0.0, 0.0, phi_0=phi, gamma_p=0.0), pc)
-        assert r == pytest.approx(1.0, abs=1e-12)
-
-
 def test_coincidence_rate_decohered_limit():
-    pc = flat_pc(0.0)
-    rates = [coincidence_rate(FransonSettings(0.0, 0.0, phi_0=p), pc)
-             for p in np.linspace(0, 2 * np.pi, 9)]
+    rates = coincidence_rate(flat_pc(0.0).at(0.0), np.linspace(0, 2 * np.pi, 9))
     assert np.ptp(rates) < 1e-12
 
 
 def test_coincidence_rate_phase_average_is_one():
-    pc = flat_pc(0.7)
     phases = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    rates = [coincidence_rate(FransonSettings(0.0, 0.0, phi_0=p, v_mi=0.9), pc)
-             for p in phases]
+    rates = coincidence_rate(0.9 * flat_pc(0.7).at(0.0), phases)
     assert np.mean(rates) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fringe_fit_recovers_closed_form_visibility():
-    pc = flat_pc(0.8)
-    v_mi, v_mzi, gamma = 0.88, 0.95, 0.97
+    v_mi, v_mzi, f = 0.88, 0.95, flat_pc(0.8).at(0.0)
     phases = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
-    samples = [(p, 1e4 * coincidence_rate(
-        FransonSettings(0.0, 0.0, phi_0=p, v_mi=v_mi, v_mzi=v_mzi, gamma_p=gamma), pc))
-        for p in phases]
-    v, _ = fringe_fit(samples)
-    assert v == pytest.approx(v_mi * v_mzi * 0.8 * gamma, abs=1e-6)
-
-
-def test_scan_either_phase_same_visibility():
-    pc = flat_pc(0.9)
-    phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    scan_a = [(p, 1e3 * coincidence_rate(
-        FransonSettings(0.0, 0.0, phi_a=p, phi_b=0.3, v_mi=0.88, v_mzi=0.95), pc))
-        for p in phases]
-    scan_b = [(p, 1e3 * coincidence_rate(
-        FransonSettings(0.0, 0.0, phi_a=0.3, phi_b=p, v_mi=0.88, v_mzi=0.95), pc))
-        for p in phases]
-    va, _ = fringe_fit(scan_a)
-    vb, _ = fringe_fit(scan_b)
-    assert abs(va - vb) < 1e-9
+    rates = 1e4 * coincidence_rate(v_mi * v_mzi * f, phases)
+    v, _ = fringe_fit(list(zip(phases, rates)))
+    assert v == pytest.approx(v_mi * v_mzi * 0.8, abs=1e-6)
 
 
 def test_expected_visibility_curve():
@@ -156,6 +126,9 @@ def test_expected_visibility_curve():
     assert np.array_equal(curve.visibility, curve.visibility[::-1])
     ideal = expected_visibility_curve(pc, 1.0, 1.0)
     assert np.array_equal(ideal.visibility, pc.f_value)
+    for v_mi, v_mzi in ((1.01, 0.95), (0.88, -0.1)):
+        with pytest.raises(SpectralError):
+            expected_visibility_curve(pc, v_mi, v_mzi)
 
 
 def test_entanglement_fidelity():
