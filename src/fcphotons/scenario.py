@@ -62,7 +62,10 @@ def _to_float(raw: str) -> float:
 
 
 def _to_int(raw: str) -> int:
-    return int(_to_float(raw))
+    value = _to_float(raw)
+    if not value.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
 
 
 # converter for each field type of the dataclasses read section by section
@@ -73,7 +76,7 @@ def _resolve(path) -> str:
     """The path as given, or the bundled file for a bare name such as "franson"."""
     path = str(path)
     bundled = os.path.join(BUNDLED_DIR, f"{path}.ini")
-    if not os.path.exists(path) and os.path.basename(path) == path and os.path.exists(bundled):
+    if not os.path.isfile(path) and os.path.basename(path) == path and os.path.isfile(bundled):
         return bundled
     return path
 

@@ -9,8 +9,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.optimize import curve_fit
 
 # sinc(x)^2 = 0.5 at x = SINC_HALF_X; fixed to 7 digits so tests are bit-stable
 SINC_HALF_X = 1.3915574
@@ -19,10 +17,6 @@ GHZ_PS = 1e-3  # 1 GHz * 1 ps
 
 
 class SpectralError(ValueError):
-    pass
-
-
-class FitError(RuntimeError):
     pass
 
 
@@ -114,6 +108,18 @@ def _chirp(half_theta: float, m: np.ndarray) -> np.ndarray:
     return np.exp(1j * (head * m2)) * np.exp(1j * ((half_theta - head) * m2))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: a length numpy.fft transforms quickly."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def coherence_envelope(s: Spectrum, tau_max: float, n_points: int) -> CoherenceEnvelope:
     """|g1(tau)| from the power spectrum: chirp-z (Bluestein) on the uniform grids.
 
@@ -138,11 +144,11 @@ def coherence_envelope(s: Spectrum, tau_max: float, n_points: int) -> CoherenceE
     j_mid, k_mid = (n_points - 1) // 2, (n_nu - 1) // 2
     x = s.intensity * np.conj(_chirp(half_theta, np.arange(n_nu) - k_mid))
     # lags j - k from -(n_nu - 1) to n_points - 1, negative ones wrapped to the end
-    size = sp_fft.next_fast_len(n_nu + n_points - 1)
+    size = _fast_len(n_nu + n_points - 1)
     lag = np.arange(size)
     lag = np.where(lag < n_points, lag, lag - size)
     h = _chirp(half_theta, lag - (j_mid - k_mid))
-    conv = sp_fft.ifft(sp_fft.fft(x, size) * sp_fft.fft(h))[:n_points]
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(h))[:n_points]
     mag = np.abs(conv) / s.intensity.sum()
     return CoherenceEnvelope(tau, np.minimum(mag, 1.0))
 
@@ -201,15 +207,16 @@ def default_source_spectrum() -> Spectrum:
     return gaussian_spectrum(173.0)
 
 
-def _fringe_model(x, c, v, omega, phi):
-    return c * (1.0 + v * np.sin(omega * x + phi))
-
-
 def fringe_fit(samples, sigma=None):
-    """Fit counts vs phase proxy with c*(1 + v sin(omega x + phi)).
+    """Fit counts vs phase with c + A sin x + B cos x at the fixed period 2 pi.
 
-    samples: sequence of (x, count) pairs, at least 8, spanning >= 1 period.
-    sigma: optional per-point 1-sigma count errors (absolute).
+    samples: sequence of (x, count) pairs, x the phase in radians, at least 8.
+    sigma: optional per-point 1-sigma count errors (absolute); without it the
+    covariance is scaled by the residual chi^2 / (n - 3).
+    The model is linear in (c, A, B), so one weighted least-squares solve fits
+    it; v = hypot(A, B) / c and its error follows from the fit covariance by
+    the delta method (Bevington & Robinson, Data Reduction and Error Analysis
+    for the Physical Sciences, ch. 3 and 7).
     Returns (visibility, visibility_sigma) with visibility clamped to [0, 1].
     """
     samples = np.asarray(samples, dtype=float)
@@ -222,44 +229,24 @@ def fringe_fit(samples, sigma=None):
             raise SpectralError("fringe_fit: sigmas must be positive")
     w = np.ones_like(y) if sigma is None else 1.0 / sigma**2
 
-    # coarse frequency scan; the sine model is linear in (c, A, B) at fixed omega
-    span = x.max() - x.min()
-    if span <= 0:
-        raise SpectralError("fringe_fit: degenerate x values")
+    # whitened design: the SVD gives the solve, its rank and the covariance
+    design = np.column_stack([np.ones_like(x), np.sin(x), np.cos(x)])
+    u, s, vt = np.linalg.svd(design * np.sqrt(w)[:, None], full_matrices=False)
     n = len(x)
-    omegas = 2.0 * np.pi * np.linspace(0.5 / span, 0.6 * n / span, 512)
-    best = None
-    for om in omegas:
-        design = np.column_stack([np.ones_like(x), np.sin(om * x), np.cos(om * x)])
-        wd = design * w[:, None]
-        try:
-            coef = np.linalg.solve(design.T @ wd, design.T @ (w * y))
-        except np.linalg.LinAlgError:
-            continue
-        ssr = float(w @ (y - design @ coef) ** 2)
-        if best is None or ssr < best[0]:
-            best = (ssr, om, coef)
-    if best is None:
-        raise FitError("fringe_fit: frequency scan failed")
-    _, om0, (c0, a0, b0) = best
+    if s[-1] <= s[0] * n * np.finfo(float).eps:
+        raise SpectralError("fringe_fit: the phases do not fix a 2 pi fringe (rank < 3)")
+    c, a, b = coef = vt.T @ (u.T @ (np.sqrt(w) * y) / s)
+    cov = (vt.T / s**2) @ vt
+    if sigma is None:
+        cov *= float(w @ (y - design @ coef) ** 2) / (n - 3)
 
-    amp = np.hypot(a0, b0)
-    if c0 <= 0 or amp / max(abs(c0), 1e-300) < 1e-9:
+    amp = np.hypot(a, b)
+    if c <= 0 or amp / max(abs(c), 1e-300) < 1e-9:
         # no discernible modulation; report v = 0 with the linear-fit error scale
-        resid = y - c0
+        resid = y - c
         scale = np.sqrt(np.mean(w * resid**2) / max(np.mean(w), 1e-300))
-        return 0.0, float(scale / max(abs(c0), 1e-300) / np.sqrt(n / 2.0))
+        return 0.0, float(scale / max(abs(c), 1e-300) / np.sqrt(n / 2.0))
 
-    p0 = [c0, min(amp / c0, 1.0), om0, np.arctan2(b0, a0)]
-    try:
-        popt, pcov = curve_fit(
-            _fringe_model, x, y, p0=p0, sigma=sigma,
-            absolute_sigma=sigma is not None, maxfev=10000)
-    except RuntimeError as exc:
-        resid = y - _fringe_model(x, *p0)
-        raise FitError(
-            f"fringe_fit: no convergence ({exc}); rms residual at start "
-            f"{np.sqrt(np.mean(resid**2)):.3g}") from exc
-    v = abs(popt[1])
-    v_sigma = float(np.sqrt(max(pcov[1, 1], 0.0)))
-    return float(min(v, 1.0)), v_sigma
+    v = amp / c
+    grad = np.array([-v, a / amp, b / amp]) / c
+    return float(min(v, 1.0)), float(np.sqrt(max(grad @ cov @ grad, 0.0)))

@@ -326,15 +326,41 @@ def test_cli_reproduce_all_figures(tmp_path):
         assert table[0, 0] == 2000.0
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal roughly doubles the time to import the CLI
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(fcphotons.__file__))
-    code = "import sys, fcphotons.cli; print('scipy.signal' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime is numpy only; importing scipy roughly quintuples the CLI's start-up
+    code = ("import sys, fcphotons.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+                         env=src_env(), check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_franson_chain_runs_without_scipy(tmp_path):
+    code = """
+import json, os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from fcphotons.cli import main
+out = sys.argv[1]
+run = os.path.join(out, "run")
+for argv in (["simulate", "--scenario", "franson", "--out", run],
+             ["analyze", run, "--mode", "franson", "--out", run],
+             ["reproduce", "fig3", "--out", os.path.join(out, "curves")]):
+    assert main(argv) == 0, argv
+with open(os.path.join(run, "analysis.json")) as fh:
+    print(json.load(fh)["visibility"])
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=src_env())
+    assert out.returncode == 0, out.stderr
+    assert 0.7 < float(out.stdout) < 1.0
+    assert (tmp_path / "curves" / "fig3_visibility.csv").exists()
 
 
 def test_cli_reproduce_unknown_figure():
@@ -377,9 +403,13 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     (MINIMAL_SCENARIO.replace("duration_ps = 1000", "duration_ps = inf"),
      "bad value for run.duration_ps: 'inf'"),
     (MINIMAL_SCENARIO + "[analysis]\ngate_ps = -4\n", "analysis.gate_ps must be positive"),
+    (MINIMAL_FRANSON + "[franson]\nphase_points = 16.7\n",
+     "bad value for franson.phase_points: '16.7'"),
+    (MINIMAL_FRANSON + "[franson]\nphase_points = 12.0\n", None),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
-        "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive"])
+        "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
+        "int_key_fractional", "int_key_integral_float"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"
@@ -416,6 +446,13 @@ def test_readme_cli_commands_run_as_written(tmp_path, monkeypatch):
     assert len(commands) >= 6
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_bundled_scenario_not_shadowed_by_directory(tmp_path, monkeypatch):
+    # the second run finds the first run's franson/ output directory in the way
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert main(["simulate", "--scenario", "franson", "--out", "franson/"]) == 0
 
 
 def test_readme_library_quick_start_runs_as_written(capsys):

@@ -110,6 +110,12 @@ def test_coherence_envelope_equals_direct_sum(s, n_points):
         assert np.max(np.abs(env.magnitude - direct.magnitude)) <= 1e-12
 
 
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert [spectral._fast_len(n) for n in range(1, 20001)] == [
+        next_fast_len(n) for n in range(1, 20001)]
+
+
 def test_coherence_envelope_preconditions():
     s = gaussian_spectrum(100.0)
     with pytest.raises(SpectralError):
@@ -232,6 +238,13 @@ def test_fringe_fit_requires_samples():
     x = np.linspace(0, 6, 5)
     with pytest.raises(SpectralError):
         fringe_fit(np.column_stack([x, np.ones(5)]))
+
+
+@pytest.mark.parametrize("x", [np.zeros(8), np.tile([0.0, np.pi], 6)],
+                         ids=["one_phase", "zero_and_pi"])
+def test_fringe_fit_rank_deficient_phases(x):
+    with pytest.raises(SpectralError, match="rank < 3"):
+        fringe_fit(np.column_stack([x, 100.0 + np.arange(x.size)]))
 
 
 def test_fringe_fit_poisson_coverage():
