@@ -8,13 +8,13 @@ import sys
 import numpy as np
 
 from . import io, models, simkit, spectral, tagcorr, twophoton
-from .scenario import BUNDLED_DIR, Scenario, ScenarioError, franson_phases, load_scenario
+from .scenario import BUNDLED_DIR, Scenario, franson_phases, load_scenario
 
 # the bundled scenario holds the paper's spectral and apparatus constants for fig2-4
 PAPER_SCENARIO = os.path.join(BUNDLED_DIR, "franson.ini")
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -93,10 +93,7 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
 
 
 def cmd_simulate(args):
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        raise CliError(str(exc)) from exc
+    scenario = load_scenario(args.scenario)
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else scenario.seed
     if scenario.kind == "g2_chain":
@@ -106,16 +103,8 @@ def cmd_simulate(args):
     return 0
 
 
-def _read_single(path) -> simkit.TagStream:
-    """The one channel of a PTAG file; an empty stream when the file holds no tags."""
-    streams = io.read_ptag(path)
-    if len(streams) > 1:
-        raise CliError(f"{path}: expected a single channel")
-    return streams[0] if streams else simkit.TagStream(0, np.empty(0, dtype=np.int64), 0)
-
-
 def _analyze_g2(args, out_dir) -> dict:
-    herald, hbt1, hbt2 = (_read_single(path) for path in args.tags)
+    herald, hbt1, hbt2 = map(io.read_ptag, args.tags)
     window = args.window_ps
     bin_ps = args.bin_ps if args.bin_ps else window
     res = tagcorr.heralded_g2(herald, hbt1, hbt2, window)
@@ -137,7 +126,7 @@ def _analyze_g2(args, out_dir) -> dict:
 
 
 def _analyze_sbr(args, out_dir) -> dict:
-    a, b = (_read_single(path) for path in args.tags)
+    a, b = map(io.read_ptag, args.tags)
     bin_ps = args.bin_ps if args.bin_ps else args.window_ps
     hist = tagcorr.cross_correlate(a, b, bin_ps, args.delay_range_ps)
     sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
@@ -166,8 +155,8 @@ def _analyze_franson(args, out_dir) -> dict:
         raise CliError(f"{summary_path}: 'scan' must list phase_rad and file names a and b")
     scans = []
     for entry in scan:
-        a = _read_single(os.path.join(run_dir, entry["a"]))
-        b = _read_single(os.path.join(run_dir, entry["b"]))
+        a = io.read_ptag(os.path.join(run_dir, entry["a"]))
+        b = io.read_ptag(os.path.join(run_dir, entry["b"]))
         scans.append((entry["phase_rad"],
                       tagcorr.gated_coincidences(a, b, gate, center_ps=0.0)))
     vis, sigma = tagcorr.franson_visibility_scan(scans)
@@ -223,10 +212,7 @@ def cmd_analyze(args):
 
 
 def cmd_fit(args):
-    try:
-        res = models.fit_sbr(io.load_table(args.points), args.dt_s)
-    except models.ModelError as exc:
-        raise CliError(str(exc)) from exc
+    res = models.fit_sbr(io.load_table(args.points), args.dt_s)
     os.makedirs(args.out, exist_ok=True)
     io.write_summary(os.path.join(args.out, "fit.json"), {
         "a": res.a,
@@ -284,23 +270,17 @@ def _reproduce_fig4(out_dir, which):
 def _reproduce_fig5(out_dir, which):
     # start above zero: presets with no background have SBR -> infinity at R=0
     rates = np.linspace(2.0e3, 4.0e5, 200)
-    cols = {}
-    for name, preset in models.RATE_MODEL_PRESETS.items():
-        sbr = np.array([models.sbr_model(r, preset) for r in rates])
-        cols[name] = sbr if which == "fig5c" else np.array(
-            [models.g2_from_sbr(v) for v in sbr])
+    presets = models.RATE_MODEL_PRESETS
+    cols = []
+    for preset in presets.values():
+        sbr = [models.sbr_model(r, preset) for r in rates]
+        cols.append(sbr if which == "fig5c" else [models.g2_from_sbr(v) for v in sbr])
     label = "sbr" if which == "fig5c" else "g2_zero"
-    path = os.path.join(out_dir, f"{which}_{label}_vs_herald_rate.csv")
-    names = list(models.RATE_MODEL_PRESETS)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# SBR model 1/(dt*(a*R+b)), dt=1.5e-9 s; presets: "
-                 + "; ".join(f"{n}: a={models.RATE_MODEL_PRESETS[n].a}, "
-                             f"b={models.RATE_MODEL_PRESETS[n].b:g}" for n in names)
-                 + "\n")
-        fh.write("herald_rate_per_s," + ",".join(f"{label}_{n}" for n in names) + "\n")
-        for i, r in enumerate(rates):
-            row = [r, *(cols[n][i] for n in names)]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    io.save_curve(os.path.join(out_dir, f"{which}_{label}_vs_herald_rate.csv"),
+                  rates, np.column_stack(cols),
+                  ["herald_rate_per_s", *(f"{label}_{n}" for n in presets)],
+                  comment="SBR model 1/(dt*(a*R+b)), dt=1.5e-9 s; presets: " + "; ".join(
+                      f"{n}: a={p.a}, b={p.b:g}" for n, p in presets.items()))
 
 
 # figure id -> writer of its model curves, called as writer(out_dir, figure id)
@@ -367,9 +347,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,14 +28,15 @@ def load_spectrum(path) -> Spectrum:
 
 
 def save_curve(path, x, y, names=("x", "y"), comment: str = "") -> None:
-    """Two-column UTF-8 CSV with an optional '#' comment header."""
+    """UTF-8 CSV of x and y (one column, or one per column of a 2-D y) with an
+    optional '#' comment header; names gives every column's name."""
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
-        fh.write(",".join(names[:2]) + "\n")
-        for row in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in np.column_stack((x, y)).astype(float).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_table(path) -> np.ndarray:
@@ -61,32 +62,27 @@ def load_table(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_ptag(path, streams) -> None:
-    """Write tag streams to the PTAG binary format.
+def write_ptag(path, stream: TagStream) -> None:
+    """Write one tag stream to the PTAG binary format.
 
     Header: magic "PTAG", u16 version, u64 duration_ps (little endian), then
-    9-byte records of u8 channel + u64 timestamp_ps, time ordered.  The
-    duration is the longest of the streams'.
+    9-byte records of u8 channel + u64 timestamp_ps, time ordered.
     """
-    if isinstance(streams, TagStream):
-        streams = [streams]
-    duration_ps = max((s.duration_ps for s in streams), default=0)
-    records = np.empty(sum(s.tags.size for s in streams), dtype=_RECORD_DTYPE)
-    pos = 0
-    for s in streams:
-        records["channel"][pos:pos + s.tags.size] = s.channel
-        records["timestamp_ps"][pos:pos + s.tags.size] = s.tags
-        pos += s.tags.size
-    if len(streams) > 1:  # one stream is already sorted
-        records = records[np.argsort(records["timestamp_ps"], kind="stable")]
+    records = np.empty(stream.tags.size, dtype=_RECORD_DTYPE)
+    records["channel"] = stream.channel
+    records["timestamp_ps"] = stream.tags
     with open(path, "wb") as fh:
         fh.write(PTAG_MAGIC)
-        fh.write(struct.pack("<HQ", PTAG_VERSION, duration_ps))
+        fh.write(struct.pack("<HQ", PTAG_VERSION, stream.duration_ps))
         records.tofile(fh)
 
 
-def read_ptag(path) -> list[TagStream]:
-    """Read a PTAG file back into one TagStream per channel present."""
+def read_ptag(path) -> TagStream:
+    """Read a single-channel PTAG file back into its TagStream.
+
+    A file without records gives an empty stream on channel 0 with the
+    header's duration; records on more than one channel are an error.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
         if header[:4] != PTAG_MAGIC:
@@ -102,17 +98,15 @@ def read_ptag(path) -> list[TagStream]:
             raise FileFormatError(f"{path}: truncated record, {partial} trailing bytes")
         records = np.fromfile(fh, dtype=_RECORD_DTYPE)
     # u64 values of 2^63 and up come out of astype(int64) negative
-    all_tags = records["timestamp_ps"].astype(np.int64)
-    if duration_ps >= 2**63 or (all_tags.size and all_tags.min() < 0):
+    tags = records["timestamp_ps"].astype(np.int64)
+    if duration_ps >= 2**63 or (tags.size and tags.min() < 0):
         raise FileFormatError(f"{path}: duration or timestamp of 2^63 ps or more")
-    channels = np.flatnonzero(np.bincount(records["channel"]))
-    streams = []
-    for ch in channels:
-        tags = all_tags if channels.size == 1 else all_tags[records["channel"] == ch]
-        if np.any(tags[1:] < tags[:-1]):
-            tags = np.sort(tags)
-        streams.append(TagStream(int(ch), tags, int(duration_ps)))
-    return streams
+    channel = records["channel"]
+    if channel.size and channel.min() != channel.max():
+        raise FileFormatError(f"{path}: records on more than one channel")
+    if np.any(tags[1:] < tags[:-1]):
+        tags = np.sort(tags)
+    return TagStream(int(channel[0]) if channel.size else 0, tags, int(duration_ps))
 
 
 def write_summary(path, data: dict) -> None:

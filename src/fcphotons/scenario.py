@@ -32,6 +32,8 @@ class FransonScanSettings:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario; the fields of sections its kind does not read keep their defaults."""
+
     name: str
     kind: str  # "g2_chain" or "franson"
     seed: int
@@ -62,7 +64,10 @@ def _to_float(raw: str) -> float:
 
 
 def _to_int(raw: str) -> int:
-    value = _to_float(raw)
+    try:
+        return int(raw)  # exact beyond 2^53, where the float path rounds
+    except ValueError:
+        value = _to_float(raw)  # "1e6", "16.0"
     if not value.is_integer():
         raise ValueError(f"{raw!r} is not an integer")
     return int(value)
@@ -70,6 +75,13 @@ def _to_int(raw: str) -> int:
 
 # converter for each field type of the dataclasses read section by section
 _CONVERTERS = {int: _to_int, float: _to_float}
+
+# the sections each kind reads; a key in any other section is unknown
+_DETECTORS = ("detector_herald", "detector_signal")
+_KIND_SECTIONS = {
+    "g2_chain": {"run", "source", "qfc", *_DETECTORS},
+    "franson": {"run", "spectrum", "phase_matching", *_DETECTORS, "franson", "analysis"},
+}
 
 
 def _resolve(path) -> str:
@@ -85,19 +97,23 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; every number carries its unit in its key.
 
     path is a scenario file or the name of a bundled one ("g2_chain",
-    "franson").  Sections [source] (g2_chain only), [detector_herald],
-    [detector_signal], [phase_matching] and [franson] take the field names of
-    SourceParams, DetectorModel, PhaseMatching and FransonScanSettings as
-    keys, with the fields' defaults.  A key that nothing reads is an error.
+    "franson").  Sections [source], [detector_herald], [detector_signal],
+    [phase_matching] and [franson] take the field names of SourceParams,
+    DetectorModel, PhaseMatching and FransonScanSettings as keys, with the
+    fields' defaults.  A g2_chain scenario reads [run], [source], [qfc] and
+    the detectors; a franson scenario reads [run], [spectrum],
+    [phase_matching], the detectors, [franson] and [analysis].  A key that
+    nothing reads, in any section, is an error.
     """
     path = _resolve(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path, encoding="utf-8"):
         raise ScenarioError(f"{path}: cannot read scenario file")
     read_keys = set()
+    sections = {"run"}  # until run.kind is known
 
     def get(section, key, conv, default=dataclasses.MISSING):
-        if not parser.has_option(section, key):
+        if section not in sections or not parser.has_option(section, key):
             if default is dataclasses.MISSING:
                 raise ScenarioError(f"{path}: missing key {section}.{key}")
             return default
@@ -118,14 +134,15 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: [{section}] {exc}") from exc
 
     kind = get("run", "kind", str)
-    if kind not in ("g2_chain", "franson"):
+    if kind not in _KIND_SECTIONS:
         raise ScenarioError(f"{path}: unknown run.kind {kind!r}")
+    sections = _KIND_SECTIONS[kind]
     duration_ps = get("run", "duration_ps", _to_int)
     if duration_ps < 0:
         raise ScenarioError(f"{path}: run.duration_ps must be nonnegative")
 
     qfc_eff = None
-    if parser.has_section("qfc"):
+    if "qfc" in sections and parser.has_section("qfc"):
         qfc_eff = get("qfc", "efficiency", _to_float)
         if not 0 <= qfc_eff <= 1:
             raise ScenarioError(f"{path}: qfc.efficiency outside [0, 1]")

@@ -28,8 +28,6 @@ class CorrelationHistogram:
 
     bin_width_ps: int
     bins: np.ndarray
-    total_time_ps: int
-    singles_per_s: tuple[float, float]
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.int64)
@@ -110,8 +108,7 @@ def cross_correlate(a: TagStream, b: TagStream, bin_width_ps: int,
         raise AnalysisError("cross_correlate: bin width must be positive")
     n_half = int(delay_range_ps // bin_width_ps)
     bins = _delay_histogram(a.tags, b.tags, bin_width_ps, n_half)
-    return CorrelationHistogram(bin_width_ps, bins, max(a.duration_ps, b.duration_ps),
-                                (a.rate_per_s, b.rate_per_s))
+    return CorrelationHistogram(bin_width_ps, bins)
 
 
 def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,

@@ -18,9 +18,7 @@ def cross_correlate_bruteforce(a: TagStream, b: TagStream, bin_width_ps: int,
         idx = np.floor(d / bin_width_ps + 0.5).astype(int) + n_half
         ok = (idx >= 0) & (idx < nbins)
         np.add.at(bins, idx[ok], 1)
-    return CorrelationHistogram(bin_width_ps, bins,
-                                max(a.duration_ps, b.duration_ps),
-                                (a.rate_per_s, b.rate_per_s))
+    return CorrelationHistogram(bin_width_ps, bins)
 
 
 def separation_histogram_loop(f1: np.ndarray, f2: np.ndarray, max_separation: int) -> np.ndarray:

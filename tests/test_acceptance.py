@@ -190,7 +190,7 @@ def test_10_fit_round_trip():
         true_counts = models.true_coincidence_rate(pair_rate, eta1, eta2) * duration_s
         bins = rng.poisson(bg_per_bin, 101).astype(np.int64)
         bins[50] = rng.poisson(bg_per_bin + true_counts)
-        hist = tagcorr.CorrelationHistogram(1500, bins, int(duration_s * SEC), (s1, s2))
+        hist = tagcorr.CorrelationHistogram(1500, bins)
         sbr = tagcorr.extract_sbr(hist, 1500, 15000)
         points.append((s1, sbr.sbr, sbr.sigma))
     noisy = models.fit_sbr(points, dt)

@@ -40,33 +40,20 @@ def write_sbr_points(path, dt_s):
 
 def test_ptag_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    s0 = TagStream(0, np.sort(rng.integers(0, 10**9, 500, dtype=np.int64)), 10**9)
-    s1 = TagStream(3, np.sort(rng.integers(0, 10**9, 300, dtype=np.int64)), 10**9)
+    s = TagStream(3, np.sort(rng.integers(0, 10**9, 500, dtype=np.int64)), 10**9)
     path = tmp_path / "tags.ptag"
-    io.write_ptag(path, [s0, s1])
+    io.write_ptag(path, s)
     back = io.read_ptag(path)
-    assert [s.channel for s in back] == [0, 3]
-    assert np.array_equal(back[0].tags, s0.tags)
-    assert np.array_equal(back[1].tags, s1.tags)
-    assert back[0].duration_ps == 10**9
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"PTAG"
-
-
-def test_ptag_single_stream_matches_multi_stream_path(tmp_path):
-    rng = np.random.default_rng(2)
-    s = TagStream(1, np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)), 10**9)
-    io.write_ptag(tmp_path / "one.ptag", s)
-    io.write_ptag(tmp_path / "two.ptag", [s, TagStream(5, np.empty(0, dtype=np.int64), 0)])
-    assert (tmp_path / "one.ptag").read_bytes() == (tmp_path / "two.ptag").read_bytes()
-    # interleaved streams come out time ordered, ties in stream order
-    a = TagStream(0, np.array([0, 10, 20, 30], dtype=np.int64), 40)
-    b = TagStream(2, np.array([5, 10, 25], dtype=np.int64), 40)
-    io.write_ptag(tmp_path / "mixed.ptag", [a, b])
-    raw = np.frombuffer((tmp_path / "mixed.ptag").read_bytes()[io._HEADER_BYTES:],
-                        dtype=io._RECORD_DTYPE)
-    assert raw["timestamp_ps"].tolist() == [0, 5, 10, 10, 20, 25, 30]
-    assert raw["channel"].tolist() == [0, 2, 0, 2, 0, 2, 0]
+    assert (back.channel, back.duration_ps) == (3, 10**9)
+    assert back.tags.dtype == np.int64 and np.array_equal(back.tags, s.tags)
+    # the format: header, then one u8 channel + u64 timestamp record per tag
+    raw = path.read_bytes()
+    assert raw[:io._HEADER_BYTES] == b"PTAG" + struct.pack("<HQ", 1, 10**9)
+    assert raw[io._HEADER_BYTES:] == b"".join(struct.pack("<BQ", 3, t) for t in s.tags)
+    # an empty stream keeps its duration; a file without records reads as channel 0
+    io.write_ptag(path, TagStream(3, np.empty(0, dtype=np.int64), 10**9))
+    back = io.read_ptag(path)
+    assert (back.channel, back.tags.size, back.duration_ps) == (0, 0, 10**9)
 
 
 def test_ptag_bad_magic(tmp_path):
@@ -96,22 +83,26 @@ def write_raw_ptag(path, channels, timestamps, duration_ps):
     path.write_bytes(b"PTAG" + struct.pack("<HQ", 1, duration_ps) + records.tobytes())
 
 
-def test_ptag_unsorted_channels_read_back_sorted(tmp_path):
+def test_ptag_unsorted_read_back_sorted(tmp_path):
     rng = np.random.default_rng(5)
     stamps = rng.permutation(np.arange(0, 4000, 10, dtype=np.uint64))
-    channels = np.where(np.arange(stamps.size) % 3 == 0, 3, 1)
     path = tmp_path / "unsorted.ptag"
-    write_raw_ptag(path, channels, stamps, 4000)
+    write_raw_ptag(path, np.full(stamps.size, 2), stamps, 4000)
     back = io.read_ptag(path)
-    assert [s.channel for s in back] == [1, 3]
-    for s in back:
-        assert s.tags.dtype == np.int64
-        assert np.array_equal(s.tags, np.sort(stamps[channels == s.channel]).astype(np.int64))
-    single = tmp_path / "single.ptag"
-    write_raw_ptag(single, np.full(stamps.size, 2), stamps, 4000)
-    (back,) = io.read_ptag(single)
-    assert back.channel == 2
+    assert (back.channel, back.duration_ps) == (2, 4000)
+    assert back.tags.dtype == np.int64
     assert np.array_equal(back.tags, np.sort(stamps).astype(np.int64))
+
+
+def test_ptag_two_channels_rejected(tmp_path, capsys):
+    path = tmp_path / "two.ptag"
+    write_raw_ptag(path, [0, 1, 0], [10, 20, 30], 40)
+    with pytest.raises(io.FileFormatError, match="more than one channel"):
+        io.read_ptag(path)
+    assert main(["analyze", str(path), str(path), "--mode", "sbr",
+                 "--out", str(tmp_path / "ana")]) == 2
+    assert "more than one channel" in capsys.readouterr().err
+    assert not (tmp_path / "ana" / "analysis.json").exists()
 
 
 @pytest.mark.parametrize("timestamp, duration_ps", [
@@ -193,8 +184,7 @@ def test_simulate_zero_duration(tmp_path):
     sc.write_text(text)
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 0
-    streams = io.read_ptag(out / "herald.ptag")
-    assert streams == [] or streams[0].tags.size == 0
+    assert io.read_ptag(out / "herald.ptag").tags.size == 0
 
     ana = tmp_path / "ana"
     rc = main(["analyze", str(out / "herald.ptag"), str(out / "hbt1.ptag"),
@@ -207,7 +197,7 @@ def test_simulate_zero_duration(tmp_path):
 def test_analyze_g2_empty_hbt_file(tmp_path):
     herald = TagStream(0, np.arange(0, 10**8, 10**4, dtype=np.int64), 10**8)
     io.write_ptag(tmp_path / "herald.ptag", herald)
-    io.write_ptag(tmp_path / "hbt.ptag", [])
+    io.write_ptag(tmp_path / "hbt.ptag", TagStream(1, np.empty(0, dtype=np.int64), 10**8))
     ana = tmp_path / "ana"
     rc = main(["analyze", str(tmp_path / "herald.ptag"), str(tmp_path / "hbt.ptag"),
                str(tmp_path / "hbt.ptag"), "--mode", "g2", "--out", str(ana)])
@@ -262,7 +252,7 @@ SCAN_ENTRY = {"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}
 def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
     # empty tag files stand by, so only the summary's own defects can fail the run
     for name in ("x.ptag", "y.ptag"):
-        io.write_ptag(tmp_path / name, [])
+        io.write_ptag(tmp_path / name, TagStream(0, np.empty(0, dtype=np.int64), 0))
     io.write_summary(tmp_path / "summary.json", summary)
     rc = main(["analyze", str(tmp_path), "--mode", "franson", "--out", str(tmp_path / "ana")])
     assert rc == 2
@@ -402,14 +392,18 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "bad value for detector_herald.jitter_sigma_ps: 'nan'"),
     (MINIMAL_SCENARIO.replace("duration_ps = 1000", "duration_ps = inf"),
      "bad value for run.duration_ps: 'inf'"),
-    (MINIMAL_SCENARIO + "[analysis]\ngate_ps = -4\n", "analysis.gate_ps must be positive"),
+    (MINIMAL_FRANSON + "[analysis]\ngate_ps = -4\n", "analysis.gate_ps must be positive"),
     (MINIMAL_FRANSON + "[franson]\nphase_points = 16.7\n",
      "bad value for franson.phase_points: '16.7'"),
     (MINIMAL_FRANSON + "[franson]\nphase_points = 12.0\n", None),
+    (MINIMAL_SCENARIO + "[franson]\nv_mi = 0.5\n", "unknown key franson.v_mi"),
+    (MINIMAL_SCENARIO + "[analysis]\ngate_ps = 7\n", "unknown key analysis.gate_ps"),
+    (MINIMAL_FRANSON + "[qfc]\nefficiency = 0.5\n", "unknown key qfc.efficiency"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
         "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
-        "int_key_fractional", "int_key_integral_float"])
+        "int_key_fractional", "int_key_integral_float", "g2_chain_with_franson",
+        "g2_chain_with_analysis", "franson_with_qfc"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"
@@ -429,6 +423,13 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
     assert loaded.phase_matching == PhaseMatching()
     assert loaded.franson == FransonScanSettings()
     assert (loaded.seed, loaded.qfc_efficiency, loaded.gate_ps) == (0, None, 512)
+
+
+@pytest.mark.parametrize("raw, value", [("9007199254740993", 2**53 + 1), ("1e6", 10**6)])
+def test_scenario_int_key_parsed_exactly(tmp_path, raw, value):
+    path = tmp_path / "scenario.ini"
+    path.write_text(MINIMAL_FRANSON.replace("duration_ps = 1000", f"duration_ps = {raw}"))
+    assert load_scenario(path).duration_ps == value
 
 
 def readme_cli_commands():

@@ -156,9 +156,8 @@ def simulate_converted(tmp_path, eta2):
         f"[qfc]\nefficiency = {c['eff']}\nbackground_rate_per_s = {c['B']}\n")
     out = tmp_path / f"run_{eta2}"
     assert main(["simulate", "--scenario", str(sc), "--out", str(out), "--seed", "5"]) == 0
-    (herald,) = io.read_ptag(out / "herald.ptag")
-    hbt = [io.read_ptag(out / f"hbt{k}.ptag") for k in (1, 2)]
-    tags = np.sort(np.concatenate([s.tags for streams in hbt for s in streams]))
+    herald = io.read_ptag(out / "herald.ptag")
+    tags = np.sort(np.concatenate([io.read_ptag(out / f"hbt{k}.ptag").tags for k in (1, 2)]))
     return herald, TagStream(1, tags, SEC)
 
 
