@@ -6,13 +6,15 @@ import struct
 
 import numpy as np
 
-from .simkit import TagStream
+from .simkit import TagStream, _unsorted
 from .spectral import Spectrum
 
 PTAG_MAGIC = b"PTAG"
 PTAG_VERSION = 1
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
 _HEADER_BYTES = 4 + struct.calcsize("<HQ")
+# records per block of PTAG reads and writes; bounds the record buffer at 576 KiB
+_BLOCK = 1 << 16
 
 
 class FileFormatError(ValueError):
@@ -66,22 +68,28 @@ def write_ptag(path, stream: TagStream) -> None:
     """Write one tag stream to the PTAG binary format.
 
     Header: magic "PTAG", u16 version, u64 duration_ps (little endian), then
-    9-byte records of u8 channel + u64 timestamp_ps, time ordered.
+    9-byte records of u8 channel + u64 timestamp_ps, time ordered.  The
+    records go out through one buffer of _BLOCK records.
     """
-    records = np.empty(stream.tags.size, dtype=_RECORD_DTYPE)
-    records["channel"] = stream.channel
-    records["timestamp_ps"] = stream.tags
+    tags = stream.tags
+    buf = np.empty(min(tags.size, _BLOCK), dtype=_RECORD_DTYPE)
+    buf["channel"] = stream.channel
     with open(path, "wb") as fh:
         fh.write(PTAG_MAGIC)
         fh.write(struct.pack("<HQ", PTAG_VERSION, stream.duration_ps))
-        records.tofile(fh)
+        for start in range(0, tags.size, _BLOCK):
+            records = buf[:min(_BLOCK, tags.size - start)]
+            records["timestamp_ps"] = tags[start:start + _BLOCK]
+            records.tofile(fh)
 
 
 def read_ptag(path) -> TagStream:
     """Read a single-channel PTAG file back into its TagStream.
 
     A file without records gives an empty stream on channel 0 with the
-    header's duration; records on more than one channel are an error.
+    header's duration; records on more than one channel are an error.  The
+    records come in through one buffer of _BLOCK records, straight into the
+    int64 result.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
@@ -93,20 +101,30 @@ def read_ptag(path) -> TagStream:
         version, duration_ps = struct.unpack("<HQ", header[4:])
         if version != PTAG_VERSION:
             raise FileFormatError(f"{path}: unsupported version {version}")
-        partial = (os.fstat(fh.fileno()).st_size - _HEADER_BYTES) % _RECORD_DTYPE.itemsize
+        n, partial = divmod(os.fstat(fh.fileno()).st_size - _HEADER_BYTES,
+                            _RECORD_DTYPE.itemsize)
         if partial:
             raise FileFormatError(f"{path}: truncated record, {partial} trailing bytes")
-        records = np.fromfile(fh, dtype=_RECORD_DTYPE)
-    # u64 values of 2^63 and up come out of astype(int64) negative
-    tags = records["timestamp_ps"].astype(np.int64)
-    if duration_ps >= 2**63 or (tags.size and tags.min() < 0):
+        tags = np.empty(n, dtype=np.int64)
+        buf = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
+        channel, unsorted = 0, False
+        for start in range(0, n, _BLOCK):
+            records = buf[:min(_BLOCK, n - start)]
+            if fh.readinto(records) != records.nbytes:
+                raise FileFormatError(f"{path}: file shrank while being read")
+            if start == 0:
+                channel = int(records["channel"][0])
+            if np.any(records["channel"] != channel):
+                raise FileFormatError(f"{path}: records on more than one channel")
+            # u64 values of 2^63 and up come out negative in the int64 result
+            tags[start:start + records.size] = records["timestamp_ps"]
+            unsorted = unsorted or _unsorted(tags[max(start - 1, 0):start + records.size])
+    if unsorted:
+        tags.sort()
+    # once sorted, a wrapped value would be the first
+    if duration_ps >= 2**63 or (n and tags[0] < 0):
         raise FileFormatError(f"{path}: duration or timestamp of 2^63 ps or more")
-    channel = records["channel"]
-    if channel.size and channel.min() != channel.max():
-        raise FileFormatError(f"{path}: records on more than one channel")
-    if np.any(tags[1:] < tags[:-1]):
-        tags = np.sort(tags)
-    return TagStream(int(channel[0]) if channel.size else 0, tags, int(duration_ps))
+    return TagStream(channel, tags, int(duration_ps))
 
 
 def write_summary(path, data: dict) -> None:

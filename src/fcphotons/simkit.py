@@ -12,6 +12,9 @@ from .twophoton import PairCoherence, coincidence_rate
 
 MAX_EXPECTED_COUNTS = 2**31
 
+# tags per block of the mark draws and the sortedness check; bounds their scratch arrays
+_BLOCK = 1 << 16
+
 
 class SimError(ValueError):
     pass
@@ -67,7 +70,7 @@ class TagStream:
         if self.duration_ps < 0:
             raise SimError("TagStream: negative duration")
         if tags.size:
-            if np.any(tags[1:] < tags[:-1]):
+            if _unsorted(tags):
                 raise SimError("TagStream: tags not sorted")
             if tags[0] < 0 or tags[-1] > self.duration_ps:
                 raise SimError("TagStream: tags outside [0, duration]")
@@ -78,6 +81,15 @@ class TagStream:
         if self.duration_ps == 0:
             return 0.0
         return self.tags.size / (self.duration_ps * 1e-12)
+
+
+def _unsorted(tags: np.ndarray) -> bool:
+    """Does some tag come before its predecessor?  Compared in blocks of _BLOCK."""
+    for start in range(1, tags.size, _BLOCK):
+        stop = min(start + _BLOCK, tags.size)
+        if np.any(tags[start:stop] < tags[start - 1:stop - 1]):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,20 @@ def _merge(*arrays):
     parts = [a for a in arrays if a.size]
     if len(parts) <= 1:
         return parts[0] if parts else np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(parts), kind="stable")  # timsort merges the sorted runs
+    merged = np.concatenate(parts)
+    merged.sort(kind="stable")  # timsort merges the sorted runs
+    return merged
+
+
+def _marks(rng, p, n):
+    """rng.random(n) < p, the same draws as one call, made in blocks of _BLOCK."""
+    mask = np.empty(n, dtype=bool)
+    u = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        part = u[:min(_BLOCK, n - start)]
+        rng.random(out=part)
+        np.less(part, p, out=mask[start:start + _BLOCK])
+    return mask
 
 
 def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagStream, TagStream]:
@@ -142,7 +167,7 @@ def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagS
     rng = _rng(seed)
     rate = p.pair_rate_per_s
     heralded = _poisson_times(rng, rate * p.eta1, duration_ps)
-    both = heralded[rng.random(heralded.size) < p.eta2]
+    both = heralded[_marks(rng, p.eta2, heralded.size)]
     signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, duration_ps)
     bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, duration_ps)
     bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, duration_ps)
@@ -192,7 +217,7 @@ def hbt_split(s: TagStream, seed, channels=None) -> tuple[TagStream, TagStream]:
     """Route each tag to one of two outputs with probability 1/2."""
     rng = _rng(seed)
     ch1, ch2 = channels if channels is not None else (s.channel, s.channel)
-    mask = rng.random(s.tags.size) < 0.5
+    mask = _marks(rng, 0.5, s.tags.size)
     return (TagStream(ch1, s.tags[mask], s.duration_ps),
             TagStream(ch2, s.tags[~mask], s.duration_ps))
 

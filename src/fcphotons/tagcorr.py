@@ -14,8 +14,9 @@ from .spectral import fringe_fit
 G2_MAX_SEPARATION = 50
 G2_PLATEAU_FROM = 10
 
-# tags of the walked stream per block in _delay_histogram; bounds the expanded pair arrays
-_CHUNK = 1 << 16
+# tags of the walked stream per block in _delay_histogram and _window_flags; bounds
+# their scratch arrays (the expanded pairs near 1 MB on the bundled g2_chain)
+_CHUNK = 1 << 14
 
 
 class AnalysisError(ValueError):
@@ -143,24 +144,28 @@ def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,
 
 
 def _window_flags(herald: np.ndarray, stream: TagStream, half_window: float) -> np.ndarray:
-    """Per-herald flag: does this detector fire within +-window/2 of the herald?
+    """Sorted indices of the heralds this detector fires within +-window/2 of.
 
     Each tag is attributed to its nearest herald only, so one tag can never
-    satisfy two heralds at once.
+    satisfy two heralds at once.  The tags are walked in blocks of _CHUNK.
     """
-    flags = np.zeros(herald.size, dtype=bool)
     tags = stream.tags
-    if tags.size == 0:
-        return flags
-    idx = np.searchsorted(herald, tags)
-    left = np.clip(idx - 1, 0, herald.size - 1)
-    right = np.clip(idx, 0, herald.size - 1)
-    d_left = np.abs(tags - herald[left])
-    d_right = np.abs(tags - herald[right])
-    nearest = np.where(d_left <= d_right, left, right)
-    dist = np.minimum(d_left, d_right)
-    flags[nearest[dist <= half_window]] = True
-    return flags
+    last = herald.size - 1
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, tags.size, _CHUNK):
+        block = tags[start:start + _CHUNK]
+        idx = np.searchsorted(herald, block)
+        left = np.maximum(idx - 1, 0)
+        right = np.minimum(idx, last)
+        d_left = np.abs(block - herald[left])
+        d_right = np.abs(block - herald[right])
+        nearest = np.where(d_left <= d_right, left, right)
+        parts.append(nearest[np.minimum(d_left, d_right) <= half_window])
+    flagged = np.concatenate(parts)
+    # the nearest herald never decreases along the sorted tags: drop adjacent repeats
+    keep = np.ones(flagged.size, dtype=bool)
+    np.not_equal(flagged[1:], flagged[:-1], out=keep[1:])
+    return flagged[keep]
 
 
 def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
@@ -190,7 +195,7 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
 
     m_values = np.arange(-G2_MAX_SEPARATION, G2_MAX_SEPARATION + 1)
     # pairs of flagged heralds (i1 on hbt1, i2 on hbt2) by separation m = i2 - i1
-    hist = _delay_histogram(np.flatnonzero(f1), np.flatnonzero(f2), 1, G2_MAX_SEPARATION)
+    hist = _delay_histogram(f1, f2, 1, G2_MAX_SEPARATION)
 
     plat_mask = np.abs(m_values) >= G2_PLATEAU_FROM
     plat_counts = hist[plat_mask]

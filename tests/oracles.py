@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fcphotons.simkit import TagStream
+from fcphotons.simkit import SourceParams, TagStream, _poisson_times
 from fcphotons.spectral import GHZ_PS, CoherenceEnvelope, SpectralError, Spectrum
 from fcphotons.tagcorr import CorrelationHistogram
 
@@ -19,6 +19,48 @@ def cross_correlate_bruteforce(a: TagStream, b: TagStream, bin_width_ps: int,
         ok = (idx >= 0) & (idx < nbins)
         np.add.at(bins, idx[ok], 1)
     return CorrelationHistogram(bin_width_ps, bins)
+
+
+def generate_pair_streams_oneshot(p: SourceParams, duration_ps: int, rng):
+    """generate_pair_streams with the eta2 marks drawn in one rng.random(n) call."""
+    rate = p.pair_rate_per_s
+    heralded = _poisson_times(rng, rate * p.eta1, duration_ps)
+    both = heralded[rng.random(heralded.size) < p.eta2]
+    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, duration_ps)
+    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, duration_ps)
+    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, duration_ps)
+    dark1 = _poisson_times(rng, p.dark1_per_s, duration_ps)
+    dark2 = _poisson_times(rng, p.dark2_per_s, duration_ps)
+    return (TagStream(0, np.sort(np.concatenate([heralded, bg1, dark1])), duration_ps),
+            TagStream(1, np.sort(np.concatenate([both, signal_only, bg2, dark2])), duration_ps))
+
+
+def hbt_split_oneshot(s: TagStream, rng, channels) -> tuple[TagStream, TagStream]:
+    """hbt_split with the split marks drawn in one rng.random(n) call."""
+    mask = rng.random(s.tags.size) < 0.5
+    return (TagStream(channels[0], s.tags[mask], s.duration_ps),
+            TagStream(channels[1], s.tags[~mask], s.duration_ps))
+
+
+def window_flags_mask(herald: np.ndarray, stream: TagStream, half_window: float) -> np.ndarray:
+    """Per-herald flag: does this detector fire within +-window/2 of the herald?
+
+    Each tag is attributed to its nearest herald only, an equidistant tag to
+    the earlier one; the whole stream is handled at once.
+    """
+    flags = np.zeros(herald.size, dtype=bool)
+    tags = stream.tags
+    if tags.size == 0:
+        return flags
+    idx = np.searchsorted(herald, tags)
+    left = np.clip(idx - 1, 0, herald.size - 1)
+    right = np.clip(idx, 0, herald.size - 1)
+    d_left = np.abs(tags - herald[left])
+    d_right = np.abs(tags - herald[right])
+    nearest = np.where(d_left <= d_right, left, right)
+    dist = np.minimum(d_left, d_right)
+    flags[nearest[dist <= half_window]] = True
+    return flags
 
 
 def separation_histogram_loop(f1: np.ndarray, f2: np.ndarray, max_separation: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,6 +76,17 @@ def test_ptag_truncated_file_rejected(tmp_path, size):
                  "--out", str(tmp_path / "ana")]) == 2
 
 
+def test_ptag_file_shorter_than_its_size_rejected(tmp_path, monkeypatch):
+    # a file that loses records between the size check and the read
+    path = tmp_path / "tags.ptag"
+    io.write_ptag(path, TagStream(0, np.arange(5, dtype=np.int64), 10))
+    fstat = os.fstat
+    with monkeypatch.context() as m:
+        m.setattr(io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 9))
+        with pytest.raises(io.FileFormatError, match="shrank"):
+            io.read_ptag(path)
+
+
 def write_raw_ptag(path, channels, timestamps, duration_ps):
     """A PTAG file with the records in the order given, unchecked."""
     records = np.empty(len(channels), dtype=[("channel", "u1"), ("timestamp_ps", "<u8")])
@@ -116,6 +128,56 @@ def test_ptag_beyond_int64_rejected(tmp_path, capsys, timestamp, duration_ps):
     assert main(["analyze", str(path), str(path), "--mode", "sbr",
                  "--out", str(tmp_path / "ana")]) == 2
     assert "2^63" in capsys.readouterr().err
+
+
+BLOCK = io._BLOCK  # records per PTAG read/write block
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
+                         ids=["empty", "one", "one_block", "block_plus_1", "two_blocks_plus_3"])
+def test_ptag_round_trip_across_blocks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    s = TagStream(4, np.sort(rng.integers(0, 10**12, n, dtype=np.int64)), 10**12)
+    path, ref = tmp_path / "tags.ptag", tmp_path / "ref.ptag"
+    io.write_ptag(path, s)
+    write_raw_ptag(ref, np.full(n, 4), s.tags, 10**12)  # the records in one piece
+    assert path.read_bytes() == ref.read_bytes()
+    back = io.read_ptag(path)
+    assert (back.channel, back.duration_ps) == (4 if n else 0, 10**12)
+    assert back.tags.dtype == np.int64 and np.array_equal(back.tags, s.tags)
+
+
+def test_ptag_second_channel_in_later_block_rejected(tmp_path, capsys):
+    n = 2 * BLOCK + 3
+    channels = np.zeros(n, dtype=np.uint8)
+    channels[BLOCK + 7] = 1
+    path = tmp_path / "late.ptag"
+    write_raw_ptag(path, channels, np.arange(n, dtype=np.uint64), n)
+    with pytest.raises(io.FileFormatError, match="more than one channel"):
+        io.read_ptag(path)
+    assert main(["analyze", str(path), str(path), "--mode", "sbr",
+                 "--out", str(tmp_path / "ana")]) == 2
+    assert "more than one channel" in capsys.readouterr().err
+
+
+def test_ptag_unsorted_block_seam_read_back_sorted(tmp_path):
+    stamps = np.arange(2 * BLOCK + 3, dtype=np.uint64)
+    # each block sorted, but the last tag of block 1 after the first of block 2
+    stamps[[BLOCK - 1, BLOCK]] = stamps[[BLOCK, BLOCK - 1]]
+    path = tmp_path / "seam.ptag"
+    write_raw_ptag(path, np.full(stamps.size, 1), stamps, stamps.size)
+    back = io.read_ptag(path)
+    assert np.array_equal(back.tags, np.arange(stamps.size, dtype=np.int64))
+
+
+@pytest.mark.parametrize("timestamp", [2**63, 2**64 - 1])
+def test_ptag_beyond_int64_in_last_block_rejected(tmp_path, timestamp):
+    stamps = np.arange(2 * BLOCK + 3, dtype=np.uint64)
+    stamps[-2] = timestamp
+    path = tmp_path / "wide.ptag"
+    write_raw_ptag(path, np.zeros(stamps.size), stamps, 10**12)  # a valid duration
+    with pytest.raises(io.FileFormatError, match="2\\^63"):
+        io.read_ptag(path)
 
 
 def test_spectrum_file_round_trip(tmp_path):

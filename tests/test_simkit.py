@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fcphotons import io
+from fcphotons import io, simkit
 from fcphotons.cli import main
 from fcphotons.simkit import (
     DetectorModel,
@@ -17,7 +17,7 @@ from fcphotons.simkit import (
 from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import gated_coincidences
 from fcphotons.twophoton import PairCoherence, pair_coherence
-from oracles import dead_time_loop
+from oracles import dead_time_loop, generate_pair_streams_oneshot, hbt_split_oneshot
 
 SEC = 10**12  # ps
 
@@ -139,6 +139,25 @@ def test_hbt_split():
     single = TagStream(0, np.array([42], dtype=np.int64), 100)
     o1, o2 = hbt_split(single, seed=12)
     assert o1.tags.size + o2.tags.size == 1
+
+
+def test_blocked_marks_keep_the_one_shot_draws():
+    # heralds and signal tags above two mark blocks, with every merge part present
+    p = SourceParams(2e6, q1=0.1, q2=0.3, eta1=0.5, eta2=0.9, dark1_per_s=500,
+                     dark2_per_s=2300)
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    herald, signal = generate_pair_streams(p, SEC // 5, rng)
+    herald_ref, signal_ref = generate_pair_streams_oneshot(p, SEC // 5, ref)
+    assert signal.tags.size > 2 * simkit._BLOCK
+    assert np.array_equal(herald.tags, herald_ref.tags)
+    assert np.array_equal(signal.tags, signal_ref.tags)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    split = hbt_split(signal, rng, channels=(1, 2))
+    split_ref = hbt_split_oneshot(signal_ref, ref, channels=(1, 2))
+    for out, out_ref in zip(split, split_ref):
+        assert out.channel == out_ref.channel
+        assert np.array_equal(out.tags, out_ref.tags)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 CONVERTED = dict(P=2e6, q1=0.1, q2=0.3, eta1=0.5, W1=500.0, W2=2300.0, eff=0.08, B=1000.0)

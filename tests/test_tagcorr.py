@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fcphotons import tagcorr
 from fcphotons.models import RateModelParams, ab_from_physics, g2_from_sbr, sbr_model
 from fcphotons.simkit import (
     DetectorModel,
@@ -25,7 +26,7 @@ from fcphotons.tagcorr import (
     heralded_g2,
 )
 from fcphotons.twophoton import pair_coherence
-from oracles import cross_correlate_bruteforce, separation_histogram_loop
+from oracles import cross_correlate_bruteforce, separation_histogram_loop, window_flags_mask
 
 SEC = 10**12
 
@@ -275,11 +276,40 @@ def test_heralded_g2_histogram_equals_mask_loop():
     hbt1 = poisson_stream(1e6, SEC // 100, 91, channel=1)
     hbt2 = poisson_stream(1e6, SEC // 100, 92, channel=2)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
-    f1 = _window_flags(herald.tags, hbt1, 100000.0)
-    f2 = _window_flags(herald.tags, hbt2, 100000.0)
+    f1 = np.zeros(herald.tags.size, dtype=bool)
+    f2 = np.zeros(herald.tags.size, dtype=bool)
+    f1[_window_flags(herald.tags, hbt1, 100000.0)] = True
+    f2[_window_flags(herald.tags, hbt2, 100000.0)] = True
     assert np.array_equal(res.m_values, np.arange(-50, 51))
     assert np.array_equal(res.histogram, separation_histogram_loop(f1, f2, 50))
     assert res.histogram.sum() > 1000
+
+
+@pytest.mark.parametrize("herald, tags", [
+    ([100, 200, 300], [40, 150]),       # a tag before the first herald
+    ([100, 200, 300], [250, 330, 390]),  # a tie (250) and tags after the last herald
+    ([100, 200, 200, 300], [180, 200, 215, 260]),  # duplicate herald timestamps
+    ([100], [0, 60, 100, 149, 150, 151, 10**6]),
+], ids=["before_first", "tie_and_after_last", "duplicate_heralds", "one_herald"])
+def test_window_flags_equal_mask(herald, tags):
+    herald = np.array(herald, dtype=np.int64)
+    stream = TagStream(1, np.array(tags, dtype=np.int64), 10**6)
+    flagged = _window_flags(herald, stream, 50.0)
+    assert flagged.dtype == np.intp
+    assert np.array_equal(flagged, np.flatnonzero(window_flags_mask(herald, stream, 50.0)))
+
+
+def test_window_flags_equal_mask_across_blocks():
+    # ten tags per herald: the same herald is nearest on both sides of block seams
+    herald = poisson_stream(1e6, SEC // 100, 93)
+    hbt = poisson_stream(1e7, SEC // 100, 94, channel=1)
+    assert hbt.tags.size > 4 * tagcorr._CHUNK
+    for half_window in (100.0, 400.0, 10**6):
+        flagged = _window_flags(herald.tags, hbt, half_window)
+        assert np.array_equal(flagged,
+                              np.flatnonzero(window_flags_mask(herald.tags, hbt, half_window)))
+    empty = TagStream(1, np.empty(0, dtype=np.int64), SEC)
+    assert _window_flags(herald.tags, empty, 100.0).size == 0
 
 
 @pytest.mark.parametrize("gate", [1, 2, 7, 300, 301])
