@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import io, models, simkit, spectral, tagcorr, twophoton
-from .scenario import BUNDLED_DIR, Scenario, franson_phases, load_scenario
+from .scenario import BUNDLED_DIR, Scenario, load_scenario
 
 # the bundled scenario holds the paper's spectral and apparatus constants for fig2-4
 PAPER_SCENARIO = os.path.join(BUNDLED_DIR, "franson.ini")
@@ -56,16 +56,15 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
     cfg = simkit.FransonMcConfig(
         pc=twophoton.converted_pair_coherence(scenario.source_spectrum(),
                                               scenario.phase_matching),
-        delay_imbalance_ps=fr.delay_imbalance_ps,
         delay_ps=fr.delay_ps,
+        delay_imbalance_ps=fr.delay_imbalance_ps,
         v_app=fr.v_mi * fr.v_mzi,
         detector_a=scenario.detector_herald,
         detector_b=scenario.detector_signal,
     )
     rng = np.random.default_rng(seed)
-    phases = franson_phases(fr.phase_points)
     files = []
-    for k, phi in enumerate(phases):
+    for k, phi in enumerate(np.linspace(0.0, 2.0 * np.pi, fr.phase_points, endpoint=False)):
         n_pairs = rng.poisson(fr.pairs_per_point)
         if scenario.duration_ps > 0 and n_pairs > 0:
             pair_times = np.sort(rng.integers(0, scenario.duration_ps, n_pairs,
@@ -103,17 +102,30 @@ def cmd_simulate(args):
     return 0
 
 
-def _analyze_g2(args, out_dir) -> dict:
-    herald, hbt1, hbt2 = map(io.read_ptag, args.tags)
-    window = args.window_ps
-    bin_ps = args.bin_ps if args.bin_ps else window
-    res = tagcorr.heralded_g2(herald, hbt1, hbt2, window)
-    hist = tagcorr.cross_correlate(herald, hbt1, bin_ps, args.delay_range_ps)
+def _bin_ps(args) -> int:
+    """The correlation histogram's bin: --bin-ps, or else --window-ps."""
+    return args.bin_ps or args.window_ps
+
+
+def _correlate(a, b, args, out_dir) -> tagcorr.SbrResult:
+    """SBR of b's delays from a; the delay histogram goes to correlation.csv.
+
+    Callers run their other estimators first, so an AnalysisError leaves no CSV.
+    """
+    bin_ps = _bin_ps(args)
+    hist = tagcorr.cross_correlate(a, b, bin_ps, args.delay_range_ps)
     sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
-    io.save_curve(os.path.join(out_dir, "g2_histogram.csv"),
-                  res.m_values, res.histogram, ("herald_separation_m", "pairs"))
     io.save_curve(os.path.join(out_dir, "correlation.csv"),
                   hist.delays_ps, hist.bins, ("delay_ps", "counts"))
+    return sbr
+
+
+def _analyze_g2(args, out_dir) -> dict:
+    herald, hbt1, hbt2 = map(io.read_ptag, args.tags)
+    res = tagcorr.heralded_g2(herald, hbt1, hbt2, args.window_ps)
+    sbr = _correlate(herald, hbt1, args, out_dir)
+    io.save_curve(os.path.join(out_dir, "g2_histogram.csv"),
+                  res.m_values, res.histogram, ("herald_separation_m", "pairs"))
     return {
         "status": "ok",
         "g2_zero": res.g2_zero,
@@ -126,12 +138,7 @@ def _analyze_g2(args, out_dir) -> dict:
 
 
 def _analyze_sbr(args, out_dir) -> dict:
-    a, b = map(io.read_ptag, args.tags)
-    bin_ps = args.bin_ps if args.bin_ps else args.window_ps
-    hist = tagcorr.cross_correlate(a, b, bin_ps, args.delay_range_ps)
-    sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
-    io.save_curve(os.path.join(out_dir, "correlation.csv"),
-                  hist.delays_ps, hist.bins, ("delay_ps", "counts"))
+    sbr = _correlate(*map(io.read_ptag, args.tags), args, out_dir)
     return {"status": "ok", "sbr": sbr.sbr, "sigma": sbr.sigma,
             "signal": sbr.signal, "background_per_bin": sbr.background_per_bin}
 
@@ -186,7 +193,7 @@ ANALYZE_MODES = {
 
 def _check_sbr_widths(args):
     """The histogram must reach past the background exclusion, and that past the central bin."""
-    bin_ps = args.bin_ps if args.bin_ps else args.window_ps
+    bin_ps = _bin_ps(args)
     reach = args.delay_range_ps // bin_ps * bin_ps
     if not reach > args.background_exclusion_ps > bin_ps / 2:
         raise CliError(
@@ -224,31 +231,23 @@ def cmd_fit(args):
     return 0
 
 
-def _reproduce_fig2(out_dir, which):
+def _reproduce_envelope(out_dir, which):
+    """fig2: the source line and its |g1|; fig3: both behind the converter's filter."""
     sc = load_scenario(PAPER_SCENARIO)
     s = sc.source_spectrum()
-    env = spectral.coherence_envelope(s, tau_max=12.0, n_points=1201)
-    params = (f"synthetic Gaussian source line, {sc.spectrum_fwhm_ghz:g} GHz FWHM; "
-              f"apparatus ceiling {sc.franson.v_mi:g}")
+    if which == "fig2":
+        env = spectral.coherence_envelope(s, tau_max=12.0, n_points=1201)
+        params = f"synthetic Gaussian source line, {sc.spectrum_fwhm_ghz:g} GHz FWHM"
+    else:
+        s = spectral.apply_phase_matching(s, sc.phase_matching)
+        env = spectral.coherence_envelope(s, tau_max=25.0, n_points=2001)
+        params = (f"source Gaussian {sc.spectrum_fwhm_ghz:g} GHz FWHM x sinc^2 filter "
+                  f"{sc.phase_matching.fwhm_ghz:g} GHz FWHM; "
+                  f"coherence_time_ps={spectral.coherence_time(env):.4f}; "
+                  f"bandwidth_ghz={spectral.integral_bandwidth(s):.3f}")
+    params += f"; apparatus ceiling {sc.franson.v_mi:g}"
     io.save_curve(os.path.join(out_dir, f"{which}_spectrum.csv"),
                   s.nu_grid, s.intensity, ("nu_GHz", "intensity"), comment=params)
-    io.save_curve(os.path.join(out_dir, f"{which}_visibility.csv"),
-                  env.tau_grid, sc.franson.v_mi * env.magnitude, ("tau_ps", "visibility"),
-                  comment=params)
-
-
-def _reproduce_fig3(out_dir, which):
-    sc = load_scenario(PAPER_SCENARIO)
-    filtered = spectral.apply_phase_matching(sc.source_spectrum(), sc.phase_matching)
-    env = spectral.coherence_envelope(filtered, tau_max=25.0, n_points=2001)
-    tau_c = spectral.coherence_time(env)
-    bw = spectral.integral_bandwidth(filtered)
-    params = (f"source Gaussian {sc.spectrum_fwhm_ghz:g} GHz FWHM x sinc^2 filter "
-              f"{sc.phase_matching.fwhm_ghz:g} GHz FWHM; coherence_time_ps={tau_c:.4f}; "
-              f"bandwidth_ghz={bw:.3f}; apparatus ceiling {sc.franson.v_mi:g}")
-    io.save_curve(os.path.join(out_dir, f"{which}_spectrum.csv"),
-                  filtered.nu_grid, filtered.intensity, ("nu_GHz", "intensity"),
-                  comment=params)
     io.save_curve(os.path.join(out_dir, f"{which}_visibility.csv"),
                   env.tau_grid, sc.franson.v_mi * env.magnitude, ("tau_ps", "visibility"),
                   comment=params)
@@ -284,7 +283,7 @@ def _reproduce_fig5(out_dir, which):
 
 
 # figure id -> writer of its model curves, called as writer(out_dir, figure id)
-FIGURES = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
+FIGURES = {"fig2": _reproduce_envelope, "fig3": _reproduce_envelope, "fig4": _reproduce_fig4,
            "fig5b": _reproduce_fig5, "fig5c": _reproduce_fig5}
 
 

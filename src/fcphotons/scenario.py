@@ -7,8 +7,6 @@ import os
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import spectral
 from .simkit import DetectorModel, SourceParams
 from .spectral import PhaseMatching, Spectrum
@@ -22,32 +20,34 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class FransonScanSettings:
-    delay_ps: int = 1140
-    delay_imbalance_ps: int = 0
-    v_mi: float = 0.88
-    v_mzi: float = 0.95
-    phase_points: int = 12
-    pairs_per_point: int = 5000
+    delay_ps: int
+    delay_imbalance_ps: int
+    v_mi: float
+    v_mzi: float
+    phase_points: int
+    pairs_per_point: int
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded scenario; the fields of sections its kind does not read keep their defaults."""
+    """A loaded scenario; the fields of the sections its kind does not read are None."""
 
     name: str
     kind: str  # "g2_chain" or "franson"
     seed: int
     duration_ps: int
-    source: SourceParams | None  # g2_chain only; franson reads no [source]
     detector_herald: DetectorModel
     detector_signal: DetectorModel
-    qfc_efficiency: float | None
-    qfc_background_per_s: float
-    spectrum_fwhm_ghz: float
-    spectrum_file: str | None
-    phase_matching: PhaseMatching
-    franson: FransonScanSettings
-    gate_ps: int
+    # g2_chain only; qfc_efficiency is None too when there is no [qfc]
+    source: SourceParams | None = None
+    qfc_efficiency: float | None = None
+    qfc_background_per_s: float | None = None
+    # franson only; exactly one of the two spectrum fields is set
+    spectrum_fwhm_ghz: float | None = None
+    spectrum_file: str | None = None
+    phase_matching: PhaseMatching | None = None
+    franson: FransonScanSettings | None = None
+    gate_ps: int | None = None
 
     def source_spectrum(self) -> Spectrum:
         if self.spectrum_file is not None:
@@ -76,13 +76,6 @@ def _to_int(raw: str) -> int:
 # converter for each field type of the dataclasses read section by section
 _CONVERTERS = {int: _to_int, float: _to_float}
 
-# the sections each kind reads; a key in any other section is unknown
-_DETECTORS = ("detector_herald", "detector_signal")
-_KIND_SECTIONS = {
-    "g2_chain": {"run", "source", "qfc", *_DETECTORS},
-    "franson": {"run", "spectrum", "phase_matching", *_DETECTORS, "franson", "analysis"},
-}
-
 
 def _resolve(path) -> str:
     """The path as given, or the bundled file for a bare name such as "franson"."""
@@ -99,21 +92,22 @@ def load_scenario(path) -> Scenario:
     path is a scenario file or the name of a bundled one ("g2_chain",
     "franson").  Sections [source], [detector_herald], [detector_signal],
     [phase_matching] and [franson] take the field names of SourceParams,
-    DetectorModel, PhaseMatching and FransonScanSettings as keys, with the
-    fields' defaults.  A g2_chain scenario reads [run], [source], [qfc] and
-    the detectors; a franson scenario reads [run], [spectrum],
-    [phase_matching], the detectors, [franson] and [analysis].  A key that
-    nothing reads, in any section, is an error.
+    DetectorModel, PhaseMatching and FransonScanSettings as keys; a field
+    with no default is a required key.  A g2_chain scenario reads [run],
+    [source], an optional [qfc] and the detectors.  A franson scenario reads
+    [run], the detectors, [spectrum] (exactly one of file and
+    gaussian_fwhm_ghz), [phase_matching] (fwhm_ghz required), every key of
+    [franson] and [analysis] gate_ps.  A key that nothing reads, in any
+    section, is an error.
     """
     path = _resolve(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(path, encoding="utf-8"):
         raise ScenarioError(f"{path}: cannot read scenario file")
     read_keys = set()
-    sections = {"run"}  # until run.kind is known
 
     def get(section, key, conv, default=dataclasses.MISSING):
-        if section not in sections or not parser.has_option(section, key):
+        if not parser.has_option(section, key):
             if default is dataclasses.MISSING:
                 raise ScenarioError(f"{path}: missing key {section}.{key}")
             return default
@@ -134,55 +128,50 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: [{section}] {exc}") from exc
 
     kind = get("run", "kind", str)
-    if kind not in _KIND_SECTIONS:
+    if kind not in ("g2_chain", "franson"):
         raise ScenarioError(f"{path}: unknown run.kind {kind!r}")
-    sections = _KIND_SECTIONS[kind]
     duration_ps = get("run", "duration_ps", _to_int)
     if duration_ps < 0:
         raise ScenarioError(f"{path}: run.duration_ps must be nonnegative")
-
-    qfc_eff = None
-    if "qfc" in sections and parser.has_section("qfc"):
-        qfc_eff = get("qfc", "efficiency", _to_float)
-        if not 0 <= qfc_eff <= 1:
-            raise ScenarioError(f"{path}: qfc.efficiency outside [0, 1]")
-    qfc_background = get("qfc", "background_rate_per_s", _to_float, 0.0)
-    if qfc_background < 0:
-        raise ScenarioError(f"{path}: qfc.background_rate_per_s must be nonnegative")
-
-    gate_ps = get("analysis", "gate_ps", _to_int, 512)
-    if gate_ps <= 0:
-        raise ScenarioError(f"{path}: analysis.gate_ps must be positive")
-
-    spectrum_file = get("spectrum", "file", str, "") or None
-    if spectrum_file is not None:
-        spectrum_file = os.path.join(os.path.dirname(os.path.abspath(path)), spectrum_file)
-        if not os.path.exists(spectrum_file):
-            raise ScenarioError(f"{path}: spectrum.file {spectrum_file!r} does not exist")
-
-    scenario = Scenario(
+    common = dict(
         name=get("run", "name", str, os.path.basename(path)),
         kind=kind,
         seed=get("run", "seed", lambda v: int(v, 0), 0),
         duration_ps=duration_ps,
-        source=build(SourceParams, "source") if kind == "g2_chain" else None,
         detector_herald=build(DetectorModel, "detector_herald"),
         detector_signal=build(DetectorModel, "detector_signal"),
-        qfc_efficiency=qfc_eff,
-        qfc_background_per_s=qfc_background,
-        spectrum_fwhm_ghz=get("spectrum", "gaussian_fwhm_ghz", _to_float, 173.0),
-        spectrum_file=spectrum_file,
-        phase_matching=build(PhaseMatching, "phase_matching"),
-        franson=build(FransonScanSettings, "franson"),
-        gate_ps=gate_ps,
     )
+
+    if kind == "g2_chain":
+        qfc_eff = None
+        if parser.has_section("qfc"):
+            qfc_eff = get("qfc", "efficiency", _to_float)
+            if not 0 <= qfc_eff <= 1:
+                raise ScenarioError(f"{path}: qfc.efficiency outside [0, 1]")
+        qfc_background = get("qfc", "background_rate_per_s", _to_float, 0.0)
+        if qfc_background < 0:
+            raise ScenarioError(f"{path}: qfc.background_rate_per_s must be nonnegative")
+        scenario = Scenario(**common, source=build(SourceParams, "source"),
+                            qfc_efficiency=qfc_eff, qfc_background_per_s=qfc_background)
+    else:
+        spectrum_file = get("spectrum", "file", str, "") or None
+        fwhm = get("spectrum", "gaussian_fwhm_ghz", _to_float, None)
+        if (spectrum_file is None) == (fwhm is None):
+            raise ScenarioError(
+                f"{path}: [spectrum] must set exactly one of file and gaussian_fwhm_ghz")
+        if spectrum_file is not None:
+            spectrum_file = os.path.join(os.path.dirname(os.path.abspath(path)), spectrum_file)
+            if not os.path.exists(spectrum_file):
+                raise ScenarioError(f"{path}: spectrum.file {spectrum_file!r} does not exist")
+        gate_ps = get("analysis", "gate_ps", _to_int)
+        if gate_ps <= 0:
+            raise ScenarioError(f"{path}: analysis.gate_ps must be positive")
+        scenario = Scenario(**common, spectrum_fwhm_ghz=fwhm, spectrum_file=spectrum_file,
+                            phase_matching=build(PhaseMatching, "phase_matching"),
+                            franson=build(FransonScanSettings, "franson"), gate_ps=gate_ps)
+
     for section in parser.sections():
         for key in parser.options(section):
             if (section, key) not in read_keys:
                 raise ScenarioError(f"{path}: unknown key {section}.{key}")
     return scenario
-
-
-def franson_phases(n_points: int) -> np.ndarray:
-    """Uniform phase scan over [0, 2*pi), endpoint excluded."""
-    return np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)

@@ -97,8 +97,8 @@ class FransonMcConfig:
     """One Franson run: imbalance, interferometer delay, phase, pair coherence."""
 
     pc: PairCoherence
+    delay_ps: int
     delay_imbalance_ps: int = 0
-    delay_ps: int = 1140
     phase_rad: float = 0.0
     v_app: float = 1.0  # apparatus visibility ceiling (v_mi * v_mzi)
     detector_a: DetectorModel = field(default_factory=DetectorModel)

@@ -63,8 +63,8 @@ class Spectrum:
 class PhaseMatching:
     """sinc^2 spectral acceptance of the frequency converter."""
 
+    fwhm_ghz: float
     center_offset_ghz: float = 0.0
-    fwhm_ghz: float = 118.0
 
     def __post_init__(self):
         if self.fwhm_ghz <= 0:
@@ -200,11 +200,6 @@ def gaussian_spectrum(fwhm: float, center: float = 0.0, grid=None,
                            center + span_sigmas * sigma, n_points)
     grid = np.asarray(grid, dtype=float)
     return Spectrum(grid, np.exp(-0.5 * ((grid - center) / sigma) ** 2))
-
-
-def default_source_spectrum() -> Spectrum:
-    """Synthetic stand-in for the measured source line: Gaussian, 173 GHz FWHM."""
-    return gaussian_spectrum(173.0)
 
 
 def fringe_fit(samples, sigma=None):

@@ -99,7 +99,8 @@ def test_06_three_peak_structure():
     n_per_phase, n_phases = 2500, 24
     rng = np.random.default_rng(77)
     for phi in np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False):
-        cfg = simkit.FransonMcConfig(pc=pc, phase_rad=float(phi), v_app=0.836)
+        cfg = simkit.FransonMcConfig(pc=pc, delay_ps=1140, phase_rad=float(phi),
+                                     v_app=0.836)
         pair_times = np.sort(rng.integers(0, SEC, n_per_phase, dtype=np.int64))
         a, b = simkit.franson_sample(pair_times, cfg, rng)
         for center in counts:

@@ -21,7 +21,11 @@ from fcphotons.spectral import PhaseMatching, gaussian_spectrum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MINIMAL_SCENARIO = "[run]\nkind = g2_chain\nduration_ps = 1000\n[source]\npair_rate_per_s = 1e6\n"
-MINIMAL_FRANSON = "[run]\nkind = franson\nduration_ps = 1000\n"
+MINIMAL_FRANSON = ("[run]\nkind = franson\nduration_ps = 1000\n"
+                   "[spectrum]\ngaussian_fwhm_ghz = 173\n[phase_matching]\nfwhm_ghz = 118\n"
+                   "[franson]\ndelay_ps = 1140\ndelay_imbalance_ps = 0\nv_mi = 0.88\n"
+                   "v_mzi = 0.95\nphase_points = 12\npairs_per_point = 5000\n"
+                   "[analysis]\ngate_ps = 512\n")
 WIDTH_FLAGS = ("--bin-ps", "--gate-ps", "--window-ps", "--delay-range-ps",
                "--background-exclusion-ps")
 
@@ -265,6 +269,13 @@ def test_analyze_g2_empty_hbt_file(tmp_path):
                str(tmp_path / "hbt.ptag"), "--mode", "g2", "--out", str(ana)])
     assert rc == 0
     assert io.read_summary(ana / "analysis.json")["status"] == "insufficient data"
+    # no estimator's CSV is written unless every estimator succeeded
+    assert os.listdir(ana) == ["analysis.json"]
+    rc = main(["analyze", str(tmp_path / "herald.ptag"), str(tmp_path / "hbt.ptag"),
+               "--mode", "sbr", "--out", str(tmp_path / "sbr")])
+    assert rc == 0
+    assert io.read_summary(tmp_path / "sbr" / "analysis.json")["status"] == "insufficient data"
+    assert os.listdir(tmp_path / "sbr") == ["analysis.json"]
 
 
 @pytest.mark.parametrize("flag", WIDTH_FLAGS)
@@ -372,6 +383,12 @@ def test_cli_reproduce_all_figures(tmp_path):
     with open(tmp_path / "fig5c" / "fig5c_sbr_vs_herald_rate.csv") as fh:
         header = fh.read().splitlines()[0]
     assert "a=6.78" in header and "a=19.1" in header
+    for fig, rows in (("fig2", 1201), ("fig3", 2001)):
+        with open(tmp_path / fig / f"{fig}_visibility.csv") as fh:
+            header = fh.readline()
+        assert "173 GHz" in header and "apparatus ceiling 0.88" in header
+        assert ("118 GHz" in header) == (fig == "fig3")
+        assert io.load_table(tmp_path / fig / f"{fig}_visibility.csv").shape == (rows, 2)
     for fig, label in (("fig5b", "g2_zero"), ("fig5c", "sbr")):
         table = io.load_table(tmp_path / fig / f"{fig}_{label}_vs_herald_rate.csv")
         assert table.shape == (200, 3)
@@ -454,23 +471,35 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "bad value for detector_herald.jitter_sigma_ps: 'nan'"),
     (MINIMAL_SCENARIO.replace("duration_ps = 1000", "duration_ps = inf"),
      "bad value for run.duration_ps: 'inf'"),
-    (MINIMAL_FRANSON + "[analysis]\ngate_ps = -4\n", "analysis.gate_ps must be positive"),
-    (MINIMAL_FRANSON + "[franson]\nphase_points = 16.7\n",
+    (MINIMAL_FRANSON.replace("gate_ps = 512", "gate_ps = -4"),
+     "analysis.gate_ps must be positive"),
+    (MINIMAL_FRANSON.replace("phase_points = 12", "phase_points = 16.7"),
      "bad value for franson.phase_points: '16.7'"),
-    (MINIMAL_FRANSON + "[franson]\nphase_points = 12.0\n", None),
+    (MINIMAL_FRANSON.replace("phase_points = 12", "phase_points = 12.0"), None),
     (MINIMAL_SCENARIO + "[franson]\nv_mi = 0.5\n", "unknown key franson.v_mi"),
     (MINIMAL_SCENARIO + "[analysis]\ngate_ps = 7\n", "unknown key analysis.gate_ps"),
     (MINIMAL_FRANSON + "[qfc]\nefficiency = 0.5\n", "unknown key qfc.efficiency"),
+    (MINIMAL_FRANSON.replace("[spectrum]\n", "[spectrum]\nfile = line.csv\n"),
+     "[spectrum] must set exactly one of file and gaussian_fwhm_ghz"),
+    (MINIMAL_FRANSON.replace("gaussian_fwhm_ghz = 173\n", ""),
+     "[spectrum] must set exactly one of file and gaussian_fwhm_ghz"),
+    (MINIMAL_FRANSON.replace("phase_points = 12\n", ""), "missing key franson.phase_points"),
+    (MINIMAL_FRANSON.replace("fwhm_ghz = 118\n", ""), "missing key phase_matching.fwhm_ghz"),
+    (MINIMAL_FRANSON.replace("gate_ps = 512\n", ""), "missing key analysis.gate_ps"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
         "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
         "int_key_fractional", "int_key_integral_float", "g2_chain_with_franson",
-        "g2_chain_with_analysis", "franson_with_qfc"])
+        "g2_chain_with_analysis", "franson_with_qfc", "spectrum_both", "spectrum_neither",
+        "missing_phase_points", "missing_pm_fwhm", "missing_gate"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"
         path.write_text(scenario)
         scenario = str(path)
+        # a line broader than the Gaussian, for the cases that name a spectrum file
+        io.save_curve(tmp_path / "line.csv", [-300.0, 0.0, 300.0], [0.5, 1.0, 0.5],
+                      ("nu_GHz", "intensity"))
     if error is not None:
         assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 2
         assert error in capsys.readouterr().err
@@ -479,12 +508,19 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario in ("g2_chain", "franson"):
         assert loaded == load_scenario(scenario_path(f"{scenario}.ini"))
         return
-    assert loaded.source == (SourceParams(pair_rate_per_s=1e6)
-                             if loaded.kind == "g2_chain" else None)
+    assert loaded.seed == 0
     assert loaded.detector_herald == loaded.detector_signal == DetectorModel()
-    assert loaded.phase_matching == PhaseMatching()
-    assert loaded.franson == FransonScanSettings()
-    assert (loaded.seed, loaded.qfc_efficiency, loaded.gate_ps) == (0, None, 512)
+    if loaded.kind == "g2_chain":
+        assert loaded.source == SourceParams(pair_rate_per_s=1e6)
+        assert (loaded.qfc_efficiency, loaded.qfc_background_per_s) == (None, 0.0)
+        assert loaded.franson is loaded.phase_matching is loaded.gate_ps is None
+        assert loaded.spectrum_fwhm_ghz is loaded.spectrum_file is None
+    else:
+        assert loaded.source is loaded.qfc_efficiency is loaded.qfc_background_per_s is None
+        assert loaded.phase_matching == PhaseMatching(fwhm_ghz=118.0)
+        assert loaded.franson == FransonScanSettings(1140, 0, 0.88, 0.95, 12, 5000)
+        assert loaded.spectrum_file is None
+        assert (loaded.spectrum_fwhm_ghz, loaded.gate_ps) == (173.0, 512)
 
 
 @pytest.mark.parametrize("raw, value", [("9007199254740993", 2**53 + 1), ("1e6", 10**6)])

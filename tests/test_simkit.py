@@ -208,6 +208,7 @@ def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,
     pair_times = np.sort(rng.integers(0, SEC, n_pairs, dtype=np.int64))
     cfg = FransonMcConfig(
         pc=pc if pc is not None else flat_pc(1.0),
+        delay_ps=1140,
         delay_imbalance_ps=dtau,
         phase_rad=phase,
         v_app=v_app,

@@ -213,7 +213,7 @@ def _franson_visibility(dtau, pc, jitter_a, n_pairs, seed):
     scans = []
     for phi in np.linspace(0, 2 * np.pi, 12, endpoint=False):
         cfg = FransonMcConfig(
-            pc=pc, delay_imbalance_ps=dtau, phase_rad=phi, v_app=0.836,
+            pc=pc, delay_ps=1140, delay_imbalance_ps=dtau, phase_rad=phi, v_app=0.836,
             detector_a=DetectorModel(jitter_sigma_ps=jitter_a),
             detector_b=DetectorModel(jitter_sigma_ps=15.0))
         pair_times = np.sort(rng.integers(0, SEC, n_pairs, dtype=np.int64))

@@ -7,7 +7,6 @@ from fcphotons.spectral import (
     SpectralError,
     apply_phase_matching,
     coherence_envelope,
-    default_source_spectrum,
     fringe_fit,
     gaussian_spectrum,
 )
@@ -59,7 +58,7 @@ def test_pair_coherence_flat_partner():
 
 
 def test_pair_coherence_swap_symmetry():
-    s = default_source_spectrum()
+    s = gaussian_spectrum(173.0)
     filtered = apply_phase_matching(s, PhaseMatching(fwhm_ghz=118.0))
     a = coherence_envelope(s, 40.0, 2001)
     b = coherence_envelope(filtered, 40.0, 2001)
@@ -71,7 +70,7 @@ def test_pair_coherence_swap_symmetry():
 def test_pair_coherence_paper_pipeline_vicinity():
     # model chain: source line x converter filter; the pair coherence time
     # lands in the vicinity of the measured 12.4 ps
-    s = default_source_spectrum()
+    s = gaussian_spectrum(173.0)
     filtered = apply_phase_matching(s, PhaseMatching(fwhm_ghz=118.0))
     a = coherence_envelope(s, 40.0, 2001)
     b = coherence_envelope(filtered, 40.0, 2001)
