@@ -18,34 +18,62 @@ class CliError(ValueError):
     pass
 
 
+def _write_parts(path, channel, parts, duration_ps) -> int:
+    """Write the tag blocks in parts as one stream and empty parts; returns the tag count.
+
+    The whole stream lives only in this call, so it is gone before the next one's.
+    """
+    tags = np.concatenate(parts)
+    parts.clear()
+    io.write_ptag(path, simkit.TagStream(channel, tags, duration_ps))
+    return int(tags.size)
+
+
 def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
-    rng = np.random.default_rng(seed)
+    """Source, beamsplitter and detectors one time block at a time.
+
+    Each stage draws from its own generator spawned from the seed, so a
+    detector fed block by block draws what apply_detector draws on the whole
+    stream.  The herald tags go to their file as they come; the HBT streams
+    are written whole at the end.
+    """
     source = scenario.source
     if scenario.qfc_efficiency is not None:
         # the converter thins the signal arm; its background and the darks come after it
         source = dataclasses.replace(
             source, eta2=source.eta2 * scenario.qfc_efficiency,
             dark2_per_s=source.dark2_per_s + scenario.qfc_background_per_s)
-    herald, signal = simkit.generate_pair_streams(source, scenario.duration_ps, rng)
-    hbt1, hbt2 = simkit.hbt_split(signal, rng, channels=(1, 2))
-    herald = simkit.apply_detector(herald, scenario.detector_herald, rng)
-    hbt1 = simkit.apply_detector(hbt1, scenario.detector_signal, rng)
-    hbt2 = simkit.apply_detector(hbt2, scenario.detector_signal, rng)
-    files = {}
-    for label, stream in (("herald", herald), ("hbt1", hbt1), ("hbt2", hbt2)):
-        fn = f"{label}.ptag"
-        io.write_ptag(os.path.join(out_dir, fn), stream)
-        files[label] = fn
+    duration = scenario.duration_ps
+    source_rng, split_rng, *detector_rngs = np.random.default_rng(seed).spawn(5)
+    herald_det, *hbt_dets = (
+        simkit.Detector(model, duration, rng) for model, rng in zip(
+            (scenario.detector_herald, scenario.detector_signal, scenario.detector_signal),
+            detector_rngs))
+    files = {label: f"{label}.ptag" for label in ("herald", "hbt1", "hbt2")}
+    hbt_parts = ([], [])
+    with io.PtagWriter(os.path.join(out_dir, files["herald"]), 0, duration) as herald_out:
+        for herald, signal in simkit.pair_blocks(source, duration, source_rng):
+            hbt = simkit.hbt_split(simkit.TagStream(1, signal, duration), split_rng,
+                                   channels=(1, 2))
+            herald_out.append(herald_det.feed(herald))
+            for parts, det, stream in zip(hbt_parts, hbt_dets, hbt):
+                parts.append(det.feed(stream.tags))
+        herald_out.append(herald_det.close())
+    counts = {"herald": herald_out.count}
+    for channel, (label, parts, det) in enumerate(zip(("hbt1", "hbt2"), hbt_parts, hbt_dets),
+                                                  start=1):
+        parts.append(det.close())
+        counts[label] = _write_parts(os.path.join(out_dir, files[label]), channel, parts,
+                                     duration)
     summary = {
         "kind": "g2_chain",
         "name": scenario.name,
         "seed": seed,
-        "duration_ps": scenario.duration_ps,
+        "duration_ps": duration,
         "files": files,
-        "counts": {"herald": int(herald.tags.size), "hbt1": int(hbt1.tags.size),
-                   "hbt2": int(hbt2.tags.size)},
-        "rates_per_s": {"herald": herald.rate_per_s, "hbt1": hbt1.rate_per_s,
-                        "hbt2": hbt2.rate_per_s},
+        "counts": counts,
+        "rates_per_s": {label: n / (duration * 1e-12) if duration else 0.0
+                        for label, n in counts.items()},
     }
     io.write_summary(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -107,23 +135,33 @@ def _bin_ps(args) -> int:
     return args.bin_ps or args.window_ps
 
 
-def _correlate(a, b, args, out_dir) -> tagcorr.SbrResult:
-    """SBR of b's delays from a; the delay histogram goes to correlation.csv.
+def _stream_herald(path, *counters):
+    """Feed every block of the PTAG file at path to each counter's add."""
+    with io.PtagReader(path) as reader:
+        for block in reader.blocks():
+            for counter in counters:
+                counter.add(block)
+
+
+def _save_sbr(correlator, args, out_dir) -> tagcorr.SbrResult:
+    """SBR of the correlator's histogram; the histogram goes to correlation.csv.
 
     Callers run their other estimators first, so an AnalysisError leaves no CSV.
     """
-    bin_ps = _bin_ps(args)
-    hist = tagcorr.cross_correlate(a, b, bin_ps, args.delay_range_ps)
-    sbr = tagcorr.extract_sbr(hist, bin_ps, args.background_exclusion_ps)
+    hist = correlator.histogram()
+    sbr = tagcorr.extract_sbr(hist, _bin_ps(args), args.background_exclusion_ps)
     io.save_curve(os.path.join(out_dir, "correlation.csv"),
                   hist.delays_ps, hist.bins, ("delay_ps", "counts"))
     return sbr
 
 
 def _analyze_g2(args, out_dir) -> dict:
-    herald, hbt1, hbt2 = map(io.read_ptag, args.tags)
-    res = tagcorr.heralded_g2(herald, hbt1, hbt2, args.window_ps)
-    sbr = _correlate(herald, hbt1, args, out_dir)
+    hbt1, hbt2 = map(io.read_ptag, args.tags[1:])
+    g2 = tagcorr.HeraldedG2Counter(hbt1, hbt2, args.window_ps)
+    correlator = tagcorr.CrossCorrelator(hbt1, _bin_ps(args), args.delay_range_ps)
+    _stream_herald(args.tags[0], g2, correlator)
+    res = g2.result()
+    sbr = _save_sbr(correlator, args, out_dir)
     io.save_curve(os.path.join(out_dir, "g2_histogram.csv"),
                   res.m_values, res.histogram, ("herald_separation_m", "pairs"))
     return {
@@ -138,7 +176,10 @@ def _analyze_g2(args, out_dir) -> dict:
 
 
 def _analyze_sbr(args, out_dir) -> dict:
-    sbr = _correlate(*map(io.read_ptag, args.tags), args, out_dir)
+    correlator = tagcorr.CrossCorrelator(io.read_ptag(args.tags[1]), _bin_ps(args),
+                                         args.delay_range_ps)
+    _stream_herald(args.tags[0], correlator)
+    sbr = _save_sbr(correlator, args, out_dir)
     return {"status": "ok", "sbr": sbr.sbr, "sigma": sbr.sigma,
             "signal": sbr.signal, "background_per_bin": sbr.background_per_bin}
 

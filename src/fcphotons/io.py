@@ -6,15 +6,13 @@ import struct
 
 import numpy as np
 
-from .simkit import TagStream, _unsorted
+from .simkit import _BLOCK, TagStream
 from .spectral import Spectrum
 
 PTAG_MAGIC = b"PTAG"
 PTAG_VERSION = 1
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
 _HEADER_BYTES = 4 + struct.calcsize("<HQ")
-# records per block of PTAG reads and writes; bounds the record buffer at 576 KiB
-_BLOCK = 1 << 16
 
 
 class FileFormatError(ValueError):
@@ -64,67 +62,126 @@ def load_table(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_ptag(path, stream: TagStream) -> None:
-    """Write one tag stream to the PTAG binary format.
+class _PtagFile:
+    """A PTAG file open for the lifetime of a with block."""
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class PtagWriter(_PtagFile):
+    """Append blocks of one stream's tags to a new PTAG file.
 
     Header: magic "PTAG", u16 version, u64 duration_ps (little endian), then
-    9-byte records of u8 channel + u64 timestamp_ps, time ordered.  The
-    records go out through one buffer of _BLOCK records.
+    9-byte records of u8 channel + u64 timestamp_ps, time ordered: each block
+    must be sorted and start at or after the last tag of the one before.
+    The records go out through one buffer of at most _BLOCK records.
     """
-    tags = stream.tags
-    buf = np.empty(min(tags.size, _BLOCK), dtype=_RECORD_DTYPE)
-    buf["channel"] = stream.channel
-    with open(path, "wb") as fh:
-        fh.write(PTAG_MAGIC)
-        fh.write(struct.pack("<HQ", PTAG_VERSION, stream.duration_ps))
+
+    def __init__(self, path, channel: int, duration_ps: int):
+        self.channel = channel
+        self.count = 0  # records written
+        self._buf = np.empty(0, dtype=_RECORD_DTYPE)
+        self._fh = open(path, "wb")
+        self._fh.write(PTAG_MAGIC)
+        self._fh.write(struct.pack("<HQ", PTAG_VERSION, duration_ps))
+
+    def append(self, tags: np.ndarray) -> None:
+        if self._buf.size < min(tags.size, _BLOCK):
+            self._buf = np.empty(min(tags.size, _BLOCK), dtype=_RECORD_DTYPE)
+            self._buf["channel"] = self.channel
         for start in range(0, tags.size, _BLOCK):
-            records = buf[:min(_BLOCK, tags.size - start)]
+            records = self._buf[:min(_BLOCK, tags.size - start)]
             records["timestamp_ps"] = tags[start:start + _BLOCK]
-            records.tofile(fh)
+            records.tofile(self._fh)
+        self.count += tags.size
+
+
+def write_ptag(path, stream: TagStream) -> None:
+    """Write one tag stream to the PTAG binary format (see PtagWriter)."""
+    with PtagWriter(path, stream.channel, stream.duration_ps) as writer:
+        writer.append(stream.tags)
+
+
+class PtagReader(_PtagFile):
+    """A single-channel PTAG file: its header, then its timestamps in checked blocks.
+
+    Opening reads the header and sizes the file; blocks() reads the records
+    through one buffer of _BLOCK records.  A record on a second channel, a
+    timestamp of 2^63 ps or more, beyond the header's duration or before the
+    record ahead of it, or a file that ends early, is a FileFormatError.  A
+    file without records has channel 0.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.channel = 0
+        self._fh = open(path, "rb")
+        try:
+            header = self._fh.read(_HEADER_BYTES)
+            if header[:4] != PTAG_MAGIC:
+                raise FileFormatError(f"{path}: bad magic {header[:4]!r}")
+            if len(header) < _HEADER_BYTES:
+                raise FileFormatError(f"{path}: truncated header, {len(header)} of "
+                                      f"{_HEADER_BYTES} bytes")
+            version, self.duration_ps = struct.unpack("<HQ", header[4:])
+            if version != PTAG_VERSION:
+                raise FileFormatError(f"{path}: unsupported version {version}")
+            if self.duration_ps >= 2**63:
+                raise FileFormatError(f"{path}: duration of 2^63 ps or more")
+            self.size, partial = divmod(os.fstat(self._fh.fileno()).st_size - _HEADER_BYTES,
+                                        _RECORD_DTYPE.itemsize)
+            if partial:
+                raise FileFormatError(f"{path}: truncated record, {partial} trailing bytes")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def blocks(self, out: np.ndarray | None = None):
+        """The timestamps as int64 blocks of _BLOCK, in file order.
+
+        With out (size records long) the blocks are its consecutive slices;
+        without, one reused buffer that the next block overwrites.
+        """
+        path, n = self.path, self.size
+        buf = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
+        tags = np.empty(buf.size, dtype=np.int64) if out is None else None
+        last = 0
+        for start in range(0, n, _BLOCK):
+            records = buf[:min(_BLOCK, n - start)]
+            if self._fh.readinto(records) != records.nbytes:
+                raise FileFormatError(f"{path}: file shrank while being read")
+            channels = records["channel"]
+            if start == 0:
+                self.channel = int(channels[0])
+            if (channels != self.channel).any():
+                raise FileFormatError(f"{path}: records on more than one channel")
+            block = (tags if out is None else out[start:])[:records.size]
+            block[...] = records["timestamp_ps"]
+            # u64 values of 2^63 and up come out negative in int64, so below last >= 0
+            if block[0] < last or (block[1:] < block[:-1]).any():
+                raise FileFormatError(f"{path}: timestamp of 2^63 ps or more" if block.min() < 0
+                                      else f"{path}: records out of time order")
+            last = int(block[-1])
+            if last > self.duration_ps:
+                raise FileFormatError(f"{path}: timestamp {last} ps beyond the "
+                                      f"duration {self.duration_ps} ps")
+            yield block
 
 
 def read_ptag(path) -> TagStream:
-    """Read a single-channel PTAG file back into its TagStream.
-
-    A file without records gives an empty stream on channel 0 with the
-    header's duration; records on more than one channel are an error.  The
-    records come in through one buffer of _BLOCK records, straight into the
-    int64 result.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER_BYTES)
-        if header[:4] != PTAG_MAGIC:
-            raise FileFormatError(f"{path}: bad magic {header[:4]!r}")
-        if len(header) < _HEADER_BYTES:
-            raise FileFormatError(f"{path}: truncated header, {len(header)} of "
-                                  f"{_HEADER_BYTES} bytes")
-        version, duration_ps = struct.unpack("<HQ", header[4:])
-        if version != PTAG_VERSION:
-            raise FileFormatError(f"{path}: unsupported version {version}")
-        n, partial = divmod(os.fstat(fh.fileno()).st_size - _HEADER_BYTES,
-                            _RECORD_DTYPE.itemsize)
-        if partial:
-            raise FileFormatError(f"{path}: truncated record, {partial} trailing bytes")
-        tags = np.empty(n, dtype=np.int64)
-        buf = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
-        channel, unsorted = 0, False
-        for start in range(0, n, _BLOCK):
-            records = buf[:min(_BLOCK, n - start)]
-            if fh.readinto(records) != records.nbytes:
-                raise FileFormatError(f"{path}: file shrank while being read")
-            if start == 0:
-                channel = int(records["channel"][0])
-            if np.any(records["channel"] != channel):
-                raise FileFormatError(f"{path}: records on more than one channel")
-            # u64 values of 2^63 and up come out negative in the int64 result
-            tags[start:start + records.size] = records["timestamp_ps"]
-            unsorted = unsorted or _unsorted(tags[max(start - 1, 0):start + records.size])
-    if unsorted:
-        tags.sort()
-    # once sorted, a wrapped value would be the first
-    if duration_ps >= 2**63 or (n and tags[0] < 0):
-        raise FileFormatError(f"{path}: duration or timestamp of 2^63 ps or more")
-    return TagStream(channel, tags, int(duration_ps))
+    """Read a single-channel PTAG file back into its TagStream (see PtagReader)."""
+    with PtagReader(path) as reader:
+        tags = np.empty(reader.size, dtype=np.int64)
+        for _ in reader.blocks(tags):  # each block lands in its slice of tags
+            pass
+    return TagStream(reader.channel, tags, int(reader.duration_ps))
 
 
 def write_summary(path, data: dict) -> None:

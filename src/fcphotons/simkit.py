@@ -12,7 +12,9 @@ from .twophoton import PairCoherence, coincidence_rate
 
 MAX_EXPECTED_COUNTS = 2**31
 
-# tags per block of the mark draws and the sortedness check; bounds their scratch arrays
+# tags per block of every streamed stage: the source's time blocks, the mark and
+# jitter draws, the dead time, PTAG reads and writes (io) and the herald blocks
+# of the correlators (tagcorr); bounds their scratch arrays
 _BLOCK = 1 << 16
 
 
@@ -116,15 +118,15 @@ class FransonMcConfig:
         return self.v_app * self.pc.at(float(self.delay_imbalance_ps))
 
 
-def _poisson_times(rng, rate_per_s, duration_ps):
-    """Homogeneous Poisson arrivals as sorted integer-ps timestamps."""
-    mean = rate_per_s * duration_ps * 1e-12
+def _poisson_times(rng, rate_per_s, start_ps, stop_ps):
+    """Homogeneous Poisson arrivals in [start, stop) as sorted integer-ps timestamps."""
+    mean = rate_per_s * (stop_ps - start_ps) * 1e-12
     if mean > MAX_EXPECTED_COUNTS:
         raise SimError(f"expected count {mean:.3g} exceeds 2^31; shorten the run")
     n = rng.poisson(mean)
-    if n == 0 or duration_ps == 0:
+    if n == 0 or stop_ps <= start_ps:
         return np.empty(0, dtype=np.int64)
-    t = rng.integers(0, duration_ps, size=n, dtype=np.int64)
+    t = rng.integers(start_ps, stop_ps, size=n, dtype=np.int64)
     t.sort()
     return t
 
@@ -150,6 +152,19 @@ def _marks(rng, p, n):
     return mask
 
 
+def _pair_tags(rng, p: SourceParams, start_ps: int, stop_ps: int):
+    """Herald and signal tags of the pair source in [start, stop); see generate_pair_streams."""
+    rate = p.pair_rate_per_s
+    heralded = _poisson_times(rng, rate * p.eta1, start_ps, stop_ps)
+    both = heralded[_marks(rng, p.eta2, heralded.size)]
+    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, start_ps, stop_ps)
+    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, start_ps, stop_ps)
+    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, start_ps, stop_ps)
+    dark1 = _poisson_times(rng, p.dark1_per_s, start_ps, stop_ps)
+    dark2 = _poisson_times(rng, p.dark2_per_s, start_ps, stop_ps)
+    return _merge(heralded, bg1, dark1), _merge(both, signal_only, bg2, dark2)
+
+
 def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagStream, TagStream]:
     """Herald and signal tag streams for the pair source model.
 
@@ -164,53 +179,132 @@ def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagS
     """
     if duration_ps < 0:
         raise SimError("duration must be nonnegative")
-    rng = _rng(seed)
+    herald, signal = _pair_tags(_rng(seed), p, 0, duration_ps)
+    return TagStream(0, herald, duration_ps), TagStream(1, signal, duration_ps)
+
+
+def pair_blocks(p: SourceParams, duration_ps: int, seed):
+    """generate_pair_streams in time blocks of about _BLOCK tags of the busier stream.
+
+    Yields the herald and signal tags of each block in turn.  Poisson
+    processes on disjoint intervals are independent, so each block is drawn
+    on its own: the same model as one generate_pair_streams call, not the
+    same draws.
+    """
+    if duration_ps < 0:
+        raise SimError("duration must be nonnegative")
     rate = p.pair_rate_per_s
-    heralded = _poisson_times(rng, rate * p.eta1, duration_ps)
-    both = heralded[_marks(rng, p.eta2, heralded.size)]
-    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, duration_ps)
-    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, duration_ps)
-    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, duration_ps)
-    dark1 = _poisson_times(rng, p.dark1_per_s, duration_ps)
-    dark2 = _poisson_times(rng, p.dark2_per_s, duration_ps)
-    herald = TagStream(0, _merge(heralded, bg1, dark1), duration_ps)
-    signal = TagStream(1, _merge(both, signal_only, bg2, dark2), duration_ps)
-    return herald, signal
+    busiest = max(rate * p.eta1 * (1.0 + p.q1) + p.dark1_per_s,
+                  rate * p.eta2 * (1.0 + p.q2) + p.dark2_per_s)
+    if busiest * duration_ps * 1e-12 > MAX_EXPECTED_COUNTS:
+        raise SimError(f"expected count {busiest * duration_ps * 1e-12:.3g} exceeds 2^31; "
+                       "shorten the run")
+    span = max(int(_BLOCK / busiest * 1e12), 1) if busiest > 0 else max(duration_ps, 1)
+    rng = _rng(seed)
+    for start in range(0, duration_ps, span):
+        yield _pair_tags(rng, p, start, min(start + span, duration_ps))
+
+
+class Detector:
+    """A detector model run over one stream that comes in sorted blocks.
+
+    feed takes the next block and returns the tags that are final, sorted;
+    close returns the rest.  Jitter draws one Gaussian per tag in stream
+    order, so the draws do not depend on where the blocks end.  The jittered
+    tags are held back until the next block's smallest jittered tag is known,
+    and only those below it go out.  Dead time carries the last kept tag
+    across the seams.
+    """
+
+    def __init__(self, model: DetectorModel, duration_ps: int, seed):
+        self.model = model
+        self.duration_ps = duration_ps
+        self._rng = _rng(seed)
+        self._held = np.empty(0, dtype=np.int64)  # jittered tags not yet final
+        self._floor = None  # the largest jittered tag already given out
+        self._last = None  # the last tag kept by the dead time
+
+    def feed(self, tags: np.ndarray) -> np.ndarray:
+        if self.model.jitter_sigma_ps <= 0:
+            return self._dead_time(tags, owned=False)
+        if not tags.size:
+            return tags
+        jittered = self._jitter(tags)
+        if self._floor is not None and jittered[0] < self._floor:
+            raise SimError("Detector: a jittered tag lands before one already given out; "
+                           "the jitter exceeds a whole block")
+        merged = _merge(self._held, jittered)
+        cut = int(np.searchsorted(merged, jittered[0]))
+        self._held = merged[cut:]
+        if cut:
+            self._floor = merged[cut - 1]
+        return self._dead_time(merged[:cut], owned=True)
+
+    def close(self) -> np.ndarray:
+        held, self._held = self._held, self._held[:0]
+        return self._dead_time(held, owned=True)
+
+    def _jitter(self, tags):
+        """Sorted tags + rint(N(0, sigma)), clipped to [0, duration], built block by block."""
+        out = np.empty(tags.size, dtype=np.int64)
+        draws = np.empty(min(tags.size, _BLOCK))
+        for start in range(0, tags.size, _BLOCK):
+            shift = draws[:min(_BLOCK, tags.size - start)]
+            self._rng.standard_normal(out=shift)
+            shift *= self.model.jitter_sigma_ps
+            np.rint(shift, out=shift)
+            part = out[start:start + shift.size]
+            part[...] = shift
+            part += tags[start:start + shift.size]
+            np.clip(part, 0, self.duration_ps, out=part)
+        out.sort(kind="stable")  # timsort: the tags were sorted before the shifts
+        return out
+
+    def _dead_time(self, tags, owned):
+        """The sorted tags at least the dead time after the last kept one.
+
+        A tag at least the dead time after its predecessor is kept whatever
+        came before, so the sequential rule only runs on the closer tags.
+        The tags go in blocks of _BLOCK; kept tags are packed at the front of
+        tags itself when the detector owns it, else of a new array.
+        """
+        dead = self.model.dead_time_ps
+        if dead <= 0 or not tags.size:
+            return tags
+        out = tags if owned else np.empty_like(tags)
+        n, last, prev = 0, self._last, -1  # prev: the last close tag's index
+        for start in range(0, tags.size, _BLOCK):
+            stop = min(start + _BLOCK, tags.size)
+            lo = max(start, 1)
+            close = np.flatnonzero(tags[lo:stop] - tags[lo - 1:stop - 1] < dead) + lo
+            if start == 0 and last is not None and tags[0] - last < dead:
+                close = np.concatenate(([0], close))  # tag 0 joins the carried cluster
+            keep = np.ones(stop - start, dtype=bool)
+            # tags[close - 1] reads tags[-1] for i = 0, which the carried last replaces
+            for i, t, t_before in zip(close.tolist(), tags[close].tolist(),
+                                      tags[close - 1].tolist()):
+                if i != prev + 1:  # tag i - 1 opens a cluster
+                    last = t_before
+                if t - last >= dead:
+                    last = t
+                else:
+                    keep[i - start] = False
+                prev = i
+            kept = tags[start:stop][keep]
+            out[n:n + kept.size] = kept
+            n += kept.size
+        if n:
+            self._last = int(out[n - 1])
+        return out[:n]
 
 
 def apply_detector(s: TagStream, d: DetectorModel, seed) -> TagStream:
-    """Gaussian timing jitter (rounded to integer ps) plus dead-time removal."""
-    tags = s.tags
-    if d.jitter_sigma_ps > 0 and tags.size:
-        rng = _rng(seed)
-        shift = np.rint(rng.normal(0.0, d.jitter_sigma_ps, tags.size)).astype(np.int64)
-        tags = np.clip(tags + shift, 0, s.duration_ps)
-        tags.sort()
-    if d.dead_time_ps > 0 and tags.size:
-        tags = tags[_dead_time_keep(tags, d.dead_time_ps)]
-    return TagStream(s.channel, tags, s.duration_ps)
+    """Gaussian timing jitter (rounded to integer ps) plus dead-time removal.
 
-
-def _dead_time_keep(tags: np.ndarray, dead_time_ps: int) -> np.ndarray:
-    """Mask of the sorted tags that come at least the dead time after the last kept one.
-
-    A tag at least the dead time after its predecessor is kept whatever came
-    before, so the sequential rule only runs inside clusters of closer tags,
-    each starting from its kept first tag.
+    The Detector fed the whole stream at once.
     """
-    keep = np.ones(tags.size, dtype=bool)
-    close = np.flatnonzero(np.diff(tags) < dead_time_ps) + 1
-    last = prev = -1
-    for i, t, t_before in zip(close.tolist(), tags[close].tolist(),
-                              tags[close - 1].tolist()):
-        if i != prev + 1:  # tag i - 1 opens a cluster
-            last = t_before
-        if t - last >= dead_time_ps:
-            last = t
-        else:
-            keep[i] = False
-        prev = i
-    return keep
+    det = Detector(d, s.duration_ps, seed)
+    return TagStream(s.channel, _merge(det.feed(s.tags), det.close()), s.duration_ps)
 
 
 def hbt_split(s: TagStream, seed, channels=None) -> tuple[TagStream, TagStream]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import poisson_interval
-from .simkit import TagStream
+from .simkit import _BLOCK, TagStream
 from .spectral import fringe_fit
 
 
@@ -14,8 +14,8 @@ from .spectral import fringe_fit
 G2_MAX_SEPARATION = 50
 G2_PLATEAU_FROM = 10
 
-# tags of the walked stream per block in _delay_histogram and _window_flags; bounds
-# their scratch arrays (the expanded pairs near 1 MB on the bundled g2_chain)
+# tags of the walked stream per block in _delay_histogram; bounds its scratch
+# arrays (the expanded pairs near 1 MB on the bundled g2_chain)
 _CHUNK = 1 << 14
 
 
@@ -68,23 +68,31 @@ def _window(a: np.ndarray, b: np.ndarray, low: int, high: int):
             np.searchsorted(b, a + high, side="right"))
 
 
+def _blocks(tags: np.ndarray):
+    """Consecutive slices of _BLOCK tags, the blocks in which analyze reads a PTAG file."""
+    return (tags[start:start + _BLOCK] for start in range(0, tags.size, _BLOCK))
+
+
 def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
                      n_half: int) -> np.ndarray:
     """Counts of the delays d = b[j] - a[i] in bins k = (2d + w) // (2w), |k| <= n_half.
 
-    Single pass over sorted int64 tags: the window of each tag of the shorter
-    stream holds every tag of the other within reach of the outermost bins,
-    the pairs in it are expanded into their delays and binned with bincount.
-    The shorter stream is taken in blocks of _CHUNK tags so the expanded pair
-    arrays stay small.
+    Single pass over sorted int64 tags: b is cut to the tags that some tag of
+    a can reach, the window of each tag of the shorter stream holds every tag
+    of the other within reach of the outermost bins, the pairs in it are
+    expanded into their delays and binned with bincount.  The shorter stream
+    is taken in blocks of _CHUNK tags so the expanded pair arrays stay small.
     """
     w = int(bin_width)
     reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
     nbins = 2 * n_half + 1
+    counts = np.zeros(nbins + 1, dtype=np.int64)
+    if not a.size:
+        return counts[:nbins]
+    b = b[np.searchsorted(b, a[0] - reach):np.searchsorted(b, a[-1] + reach, side="right")]
     sign = 1
     if b.size < a.size:  # walk the shorter stream: the same pairs from fewer windows
         a, b, sign = b, a, -1
-    counts = np.zeros(nbins + 1, dtype=np.int64)
     for start in range(0, a.size, _CHUNK):
         block = a[start:start + _CHUNK]
         lo, hi = _window(block, b, -reach, reach)
@@ -97,19 +105,42 @@ def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
     return counts[:nbins]
 
 
+class CrossCorrelator:
+    """cross_correlate of a against b, with a fed in sorted blocks.
+
+    Each block takes every tag of b that one of its tags can reach, so the
+    pairs of a tag of a are counted in its own block and the blocks add up
+    exactly.
+    """
+
+    def __init__(self, b: TagStream, bin_width_ps: int, delay_range_ps: int):
+        if bin_width_ps <= 0:
+            raise AnalysisError("cross_correlate: bin width must be positive")
+        self._b = b.tags
+        self._w = int(bin_width_ps)
+        self._n_half = int(delay_range_ps // bin_width_ps)
+        self._bins = np.zeros(2 * self._n_half + 1, dtype=np.int64)
+
+    def add(self, a: np.ndarray) -> None:
+        self._bins += _delay_histogram(a, self._b, self._w, self._n_half)
+
+    def histogram(self) -> CorrelationHistogram:
+        return CorrelationHistogram(self._w, self._bins.copy())
+
+
 def cross_correlate(a: TagStream, b: TagStream, bin_width_ps: int,
                     delay_range_ps: int) -> CorrelationHistogram:
     """Histogram of (t_b - t_a) for all pairs within +-delay_range.
 
     Bin k holds the integer delays d with (k - 1/2) w <= d < (k + 1/2) w, found
     in one pass over the tags with int64 arithmetic (see _delay_histogram), so
-    it stays exact however late the tags are.
+    it stays exact however late the tags are.  a goes through a
+    CrossCorrelator in blocks of _BLOCK.
     """
-    if bin_width_ps <= 0:
-        raise AnalysisError("cross_correlate: bin width must be positive")
-    n_half = int(delay_range_ps // bin_width_ps)
-    bins = _delay_histogram(a.tags, b.tags, bin_width_ps, n_half)
-    return CorrelationHistogram(bin_width_ps, bins)
+    correlator = CrossCorrelator(b, bin_width_ps, delay_range_ps)
+    for block in _blocks(a.tags):
+        correlator.add(block)
+    return correlator.histogram()
 
 
 def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,
@@ -143,29 +174,103 @@ def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,
     return SbrResult(signal, float(background), float(sbr), float(sigma))
 
 
-def _window_flags(herald: np.ndarray, stream: TagStream, half_window: float) -> np.ndarray:
-    """Sorted indices of the heralds this detector fires within +-window/2 of.
+def _nearest_flags(heralds: np.ndarray, tags: np.ndarray, half_window: float) -> np.ndarray:
+    """Indices into heralds of the nearest herald of each tag, for the tags within
+    half_window of it; an equidistant tag goes to the earlier herald."""
+    idx = np.searchsorted(heralds, tags)
+    left = np.maximum(idx - 1, 0)
+    right = np.minimum(idx, heralds.size - 1)
+    d_left = np.abs(tags - heralds[left])
+    d_right = np.abs(tags - heralds[right])
+    nearest = np.where(d_left <= d_right, left, right)
+    return nearest[np.minimum(d_left, d_right) <= half_window]
 
+
+class HeraldedG2Counter:
+    """heralded_g2 of a herald stream fed in sorted blocks against two whole HBT streams.
+
+    Each block takes the HBT tags after the previous block's last herald up
+    to its own last herald (their side="right" insertion points), and looks
+    for their nearest herald among its heralds and that previous last one.
+    So every tag meets the two heralds around it, duplicate heralds and ties
+    at a seam included; the tags after the last herald are taken at the end.
     Each tag is attributed to its nearest herald only, so one tag can never
-    satisfy two heralds at once.  The tags are walked in blocks of _CHUNK.
+    satisfy two heralds at once.  A pair of flags goes into the separation
+    histogram when its later flag comes, so only the flags within
+    G2_MAX_SEPARATION heralds of the last one are kept.
     """
-    tags = stream.tags
-    last = herald.size - 1
-    parts = [np.empty(0, dtype=np.int64)]
-    for start in range(0, tags.size, _CHUNK):
-        block = tags[start:start + _CHUNK]
-        idx = np.searchsorted(herald, block)
-        left = np.maximum(idx - 1, 0)
-        right = np.minimum(idx, last)
-        d_left = np.abs(block - herald[left])
-        d_right = np.abs(block - herald[right])
-        nearest = np.where(d_left <= d_right, left, right)
-        parts.append(nearest[np.minimum(d_left, d_right) <= half_window])
-    flagged = np.concatenate(parts)
-    # the nearest herald never decreases along the sorted tags: drop adjacent repeats
-    keep = np.ones(flagged.size, dtype=bool)
-    np.not_equal(flagged[1:], flagged[:-1], out=keep[1:])
-    return flagged[keep]
+
+    def __init__(self, hbt1: TagStream, hbt2: TagStream, window_ps: float):
+        if window_ps <= 0:
+            raise AnalysisError("heralded_g2: window must be positive")
+        self._half_window = window_ps / 2.0
+        self._tags = (hbt1.tags, hbt2.tags)
+        self._next = [0, 0]  # per HBT stream, its first tag no block has taken
+        self._recent = (np.empty(0, dtype=np.intp),) * 2  # flags a later flag can reach
+        self._hist = np.zeros(2 * G2_MAX_SEPARATION + 1, dtype=np.int64)
+        self._heralds = 0  # heralds so far
+        self._last = None  # the last herald so far, as a one-element array
+
+    def add(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Take the next block of heralds; returns the indices of the heralds it newly
+        flags on hbt1 and on hbt2."""
+        if not block.size:
+            return self._recent[0][:0], self._recent[1][:0]
+        new = self._take(block, [np.searchsorted(tags, block[-1], side="right")
+                                 for tags in self._tags])
+        self._heralds += block.size
+        self._last = block[-1:].copy()  # block may be a reader's reused buffer
+        return new
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Take the HBT tags after the last herald; returns the heralds they newly flag."""
+        if self._heralds == 0:
+            raise AnalysisError("heralded_g2: empty herald stream")
+        return self._take(self._last[:0], [tags.size for tags in self._tags])
+
+    def _take(self, block, stops):
+        """Flag the nearest of block's heralds and the last one before them for the HBT
+        tags from the first not yet taken up to stops, and count the new pairs."""
+        heralds, offset = block, self._heralds
+        if self._last is not None:
+            heralds, offset = np.concatenate((self._last, block)), offset - 1
+        new = []
+        for k, (tags, stop, recent) in enumerate(zip(self._tags, stops, self._recent)):
+            flagged = _nearest_flags(heralds, tags[self._next[k]:stop], self._half_window)
+            flagged += offset
+            self._next[k] = stop
+            # the nearest herald never decreases along the sorted tags: drop repeats
+            keep = np.ones(flagged.size, dtype=bool)
+            np.not_equal(flagged[1:], flagged[:-1], out=keep[1:])
+            if flagged.size and recent.size:
+                keep[0] = flagged[0] != recent[-1]
+            new.append(flagged[keep])
+        (old1, old2), (new1, new2) = self._recent, new
+        all1, all2 = np.concatenate((old1, new1)), np.concatenate((old2, new2))
+        # pairs of flagged heralds (i1 on hbt1, i2 on hbt2) by separation m = i2 - i1,
+        # each counted once: with new hbt2 flags, and new hbt1 flags with old hbt2 ones
+        self._hist += _delay_histogram(all1, new2, 1, G2_MAX_SEPARATION)
+        self._hist += _delay_histogram(new1, old2, 1, G2_MAX_SEPARATION)
+        # later flags come at the last herald so far or after it
+        floor = self._heralds + block.size - 1 - G2_MAX_SEPARATION
+        self._recent = (all1[all1 >= floor], all2[all2 >= floor])
+        return new1, new2
+
+    def result(self) -> HeraldedG2Result:
+        self.finish()
+        hist = self._hist.copy()
+        m_values = np.arange(-G2_MAX_SEPARATION, G2_MAX_SEPARATION + 1)
+        plat_mask = np.abs(m_values) >= G2_PLATEAU_FROM
+        plat_counts = hist[plat_mask]
+        plateau = plat_counts.mean()
+        if plateau <= 0:
+            raise AnalysisError("heralded_g2: empty normalization plateau")
+        h0 = float(hist[m_values == 0][0])
+        g2 = h0 / plateau
+        sigma = np.sqrt(max(h0, 1.0)) / plateau * np.sqrt(1.0 + h0 / plat_counts.sum())
+        lo, hi = poisson_interval(int(h0))
+        return HeraldedG2Result(m_values, hist, float(g2), float(sigma), float(plateau),
+                                (lo / plateau, hi / plateau))
 
 
 def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
@@ -184,30 +289,13 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     g2_zero_interval is the central 68.27 % exact (Garwood) Poisson interval
     on h0 divided by the plateau.  It neglects the plateau's own error, which
     is small beside h0's because the plateau averages 82 bins.
+
+    The heralds go through a HeraldedG2Counter in blocks of _BLOCK.
     """
-    if window_ps <= 0:
-        raise AnalysisError("heralded_g2: window must be positive")
-    h = herald.tags
-    if h.size == 0:
-        raise AnalysisError("heralded_g2: empty herald stream")
-    f1 = _window_flags(h, hbt1, window_ps / 2.0)
-    f2 = _window_flags(h, hbt2, window_ps / 2.0)
-
-    m_values = np.arange(-G2_MAX_SEPARATION, G2_MAX_SEPARATION + 1)
-    # pairs of flagged heralds (i1 on hbt1, i2 on hbt2) by separation m = i2 - i1
-    hist = _delay_histogram(f1, f2, 1, G2_MAX_SEPARATION)
-
-    plat_mask = np.abs(m_values) >= G2_PLATEAU_FROM
-    plat_counts = hist[plat_mask]
-    plateau = plat_counts.mean()
-    if plateau <= 0:
-        raise AnalysisError("heralded_g2: empty normalization plateau")
-    h0 = float(hist[m_values == 0][0])
-    g2 = h0 / plateau
-    sigma = np.sqrt(max(h0, 1.0)) / plateau * np.sqrt(1.0 + h0 / plat_counts.sum())
-    lo, hi = poisson_interval(int(h0))
-    return HeraldedG2Result(m_values, hist, float(g2), float(sigma), float(plateau),
-                            (lo / plateau, hi / plateau))
+    counter = HeraldedG2Counter(hbt1, hbt2, window_ps)
+    for block in _blocks(herald.tags):
+        counter.add(block)
+    return counter.result()
 
 
 def gated_coincidences(a: TagStream, b: TagStream, gate_ps: float,

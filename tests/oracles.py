@@ -24,13 +24,13 @@ def cross_correlate_bruteforce(a: TagStream, b: TagStream, bin_width_ps: int,
 def generate_pair_streams_oneshot(p: SourceParams, duration_ps: int, rng):
     """generate_pair_streams with the eta2 marks drawn in one rng.random(n) call."""
     rate = p.pair_rate_per_s
-    heralded = _poisson_times(rng, rate * p.eta1, duration_ps)
+    heralded = _poisson_times(rng, rate * p.eta1, 0, duration_ps)
     both = heralded[rng.random(heralded.size) < p.eta2]
-    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, duration_ps)
-    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, duration_ps)
-    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, duration_ps)
-    dark1 = _poisson_times(rng, p.dark1_per_s, duration_ps)
-    dark2 = _poisson_times(rng, p.dark2_per_s, duration_ps)
+    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, 0, duration_ps)
+    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, 0, duration_ps)
+    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, 0, duration_ps)
+    dark1 = _poisson_times(rng, p.dark1_per_s, 0, duration_ps)
+    dark2 = _poisson_times(rng, p.dark2_per_s, 0, duration_ps)
     return (TagStream(0, np.sort(np.concatenate([heralded, bg1, dark1])), duration_ps),
             TagStream(1, np.sort(np.concatenate([both, signal_only, bg2, dark2])), duration_ps))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fcphotons
-from fcphotons import io, models
+from fcphotons import io, models, tagcorr
 from fcphotons.cli import main
 from fcphotons.scenario import FransonScanSettings, load_scenario
 from fcphotons.simkit import DetectorModel, SourceParams, TagStream
@@ -99,15 +99,25 @@ def write_raw_ptag(path, channels, timestamps, duration_ps):
     path.write_bytes(b"PTAG" + struct.pack("<HQ", 1, duration_ps) + records.tobytes())
 
 
-def test_ptag_unsorted_read_back_sorted(tmp_path):
+def assert_analyze_rejects_herald(tmp_path, capsys, path, match):
+    """analyze exits 2 with path in the herald slot of g2 and sbr mode, writing nothing."""
+    other = tmp_path / "other.ptag"
+    io.write_ptag(other, TagStream(1, np.arange(10**6, 10**7, 10**5, dtype=np.int64), 10**7))
+    for mode, tags in (("g2", [path, other, other]), ("sbr", [path, other])):
+        out = tmp_path / f"ana_{mode}"
+        assert main(["analyze", *map(str, tags), "--mode", mode, "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (out / "analysis.json").exists()
+
+
+def test_ptag_unsorted_rejected(tmp_path, capsys):
     rng = np.random.default_rng(5)
     stamps = rng.permutation(np.arange(0, 4000, 10, dtype=np.uint64))
     path = tmp_path / "unsorted.ptag"
     write_raw_ptag(path, np.full(stamps.size, 2), stamps, 4000)
-    back = io.read_ptag(path)
-    assert (back.channel, back.duration_ps) == (2, 4000)
-    assert back.tags.dtype == np.int64
-    assert np.array_equal(back.tags, np.sort(stamps).astype(np.int64))
+    with pytest.raises(io.FileFormatError, match="out of time order"):
+        io.read_ptag(path)
+    assert_analyze_rejects_herald(tmp_path, capsys, path, "out of time order")
 
 
 def test_ptag_two_channels_rejected(tmp_path, capsys):
@@ -164,14 +174,15 @@ def test_ptag_second_channel_in_later_block_rejected(tmp_path, capsys):
     assert "more than one channel" in capsys.readouterr().err
 
 
-def test_ptag_unsorted_block_seam_read_back_sorted(tmp_path):
+def test_ptag_unsorted_block_seam_rejected(tmp_path, capsys):
     stamps = np.arange(2 * BLOCK + 3, dtype=np.uint64)
     # each block sorted, but the last tag of block 1 after the first of block 2
     stamps[[BLOCK - 1, BLOCK]] = stamps[[BLOCK, BLOCK - 1]]
     path = tmp_path / "seam.ptag"
     write_raw_ptag(path, np.full(stamps.size, 1), stamps, stamps.size)
-    back = io.read_ptag(path)
-    assert np.array_equal(back.tags, np.arange(stamps.size, dtype=np.int64))
+    with pytest.raises(io.FileFormatError, match="out of time order"):
+        io.read_ptag(path)
+    assert_analyze_rejects_herald(tmp_path, capsys, path, "out of time order")
 
 
 @pytest.mark.parametrize("timestamp", [2**63, 2**64 - 1])
@@ -240,6 +251,35 @@ def test_simulate_and_analyze_g2_chain(tmp_path):
     assert abs(res["g2_zero"] - predicted) < max(tol, 0.05)
     assert (ana / "g2_histogram.csv").exists()
     assert (ana / "correlation.csv").exists()
+
+
+DENSE = ("[run]\nkind = g2_chain\nduration_ps = 5000000000\n"
+         "[source]\npair_rate_per_s = 2e6\nq2 = 0.3\neta1 = 0.5\neta2 = 0.6\n"
+         "dark2_per_s = 2300\n")
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_analyze_in_blocks_equals_one_block(tmp_path, block, monkeypatch):
+    sc = tmp_path / "dense.ini"
+    sc.write_text(DENSE)
+    run = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(run), "--seed", "3"]) == 0
+    tags = [str(run / f"{n}.ptag") for n in ("herald", "hbt1", "hbt2")]
+    analyses = {"g2": ["analyze", *tags, "--mode", "g2"],
+                "sbr": ["analyze", *tags[:2], "--mode", "sbr", "--bin-ps", "150"]}
+
+    def analyze_all(label):
+        for mode, argv in analyses.items():
+            assert main([*argv, "--out", str(tmp_path / label / mode)]) == 0
+        return {p.relative_to(tmp_path / label): p.read_bytes()
+                for p in sorted((tmp_path / label).rglob("*.*"))}
+
+    whole = analyze_all("whole")
+    assert io.read_summary(tmp_path / "whole" / "g2" / "analysis.json")["status"] == "ok"
+    monkeypatch.setattr(io, "_BLOCK", block)
+    monkeypatch.setattr(tagcorr, "_BLOCK", block)
+    assert analyze_all("blocks") == whole
+    assert len(whole) == 5
 
 
 def test_simulate_zero_duration(tmp_path):

@@ -4,13 +4,22 @@ numpy reports its array buffers to tracemalloc, so the traced peak above the
 start of a call is the memory the call held at once, its output included.
 """
 
+import importlib.resources
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fcphotons import io, tagcorr
-from fcphotons.simkit import SourceParams, TagStream, generate_pair_streams, hbt_split
+from fcphotons.cli import main
+from fcphotons.simkit import (
+    DetectorModel,
+    SourceParams,
+    TagStream,
+    apply_detector,
+    generate_pair_streams,
+    hbt_split,
+)
 
 SEC = 10**12  # ps
 MB = 2**20
@@ -61,3 +70,48 @@ def test_heralded_g2_holds_under_a_quarter_of_the_heralds(g2_chain_streams):
     res, peak = traced_peak(tagcorr.heralded_g2, herald, hbt1, hbt2, 1500.0)
     assert res.histogram.sum() > 0
     assert peak < herald.tags.nbytes / 4
+
+
+def test_apply_detector_with_jitter_and_dead_time_holds_input_plus_2_mb():
+    # the dense_sbr herald detector on 1e6 tags: the output plus block scratch only
+    tags = np.sort(np.random.default_rng(3).integers(0, SEC, 10**6, dtype=np.int64))
+    stream = TagStream(0, tags, SEC)
+    out, peak = traced_peak(apply_detector, stream, DetectorModel(254.8, 50_000), 4)
+    assert 0.9 * tags.size < out.tags.size < tags.size
+    assert peak <= tags.nbytes + 2 * MB
+
+
+@pytest.fixture(scope="module")
+def g2_chain_runs(tmp_path_factory):
+    """Bundled g2_chain simulated at 1 s and 4 s: run directory and traced simulate peak."""
+    bundled = importlib.resources.files("fcphotons") / "scenarios" / "g2_chain.ini"
+    text = bundled.read_text(encoding="utf-8")
+    runs = {}
+    for seconds in (1, 4):
+        base = tmp_path_factory.mktemp(f"g2_chain_{seconds}s")
+        scenario = base / "g2_chain.ini"
+        scenario.write_text(text.replace("duration_ps = 100000000000   # 0.1 s",
+                                         f"duration_ps = {seconds * SEC}"))
+        argv = ["simulate", "--scenario", str(scenario), "--out", str(base / "run")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        runs[seconds] = (base / "run", peak)
+    return runs
+
+
+def test_simulate_peak_grows_by_under_a_quarter_of_the_heralds(g2_chain_runs):
+    # from 1 s to 4 s only the whole HBT streams (13 % of the tags) may grow
+    (run1, peak1), (run4, peak4) = g2_chain_runs[1], g2_chain_runs[4]
+    heralds = [io.read_summary(run / "summary.json")["counts"]["herald"] for run in (run1, run4)]
+    assert heralds[1] > 3.9e6
+    assert peak4 - peak1 < 8 * (heralds[1] - heralds[0]) / 4
+
+
+def test_analyze_g2_holds_under_a_quarter_of_the_herald_file(g2_chain_runs):
+    run = g2_chain_runs[4][0]
+    argv = ["analyze", *(str(run / f"{n}.ptag") for n in ("herald", "hbt1", "hbt2")),
+            "--mode", "g2", "--out", str(run / "g2")]
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    assert io.read_summary(run / "g2" / "analysis.json")["status"] == "ok"
+    assert peak < (run / "herald.ptag").stat().st_size / 4

@@ -4,6 +4,7 @@ import pytest
 from fcphotons import io, simkit
 from fcphotons.cli import main
 from fcphotons.simkit import (
+    Detector,
     DetectorModel,
     FransonMcConfig,
     SimError,
@@ -128,6 +129,78 @@ def test_apply_detector_dead_time_equals_loop(seed):
     assert np.array_equal(out.tags, dead_time_loop(tags, dead))
     assert out.tags.dtype == np.int64
 
+
+def clustered_tags(seed, dead):
+    """Sorted tags with gaps at, just under and just over the dead time, and long chains."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.choice([0, 1, dead - 1, dead, dead + 1, 3 * dead], size=600,
+                      p=[0.05, 0.15, 0.3, 0.2, 0.1, 0.2])
+    chain = np.full(60, max(dead // 3, 1))
+    return np.cumsum(np.concatenate([gaps[:300], chain, gaps[300:]])).astype(np.int64)
+
+
+def feed_in_pieces(det, tags, piece):
+    """Everything the detector gives out when fed tags in pieces of piece tags."""
+    out = [det.feed(tags[start:start + piece]) for start in range(0, tags.size, piece)]
+    return np.concatenate(out + [det.close()])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_detector_dead_time_carried_across_seams(block, monkeypatch):
+    monkeypatch.setattr(simkit, "_BLOCK", block)  # the seams inside one feed too
+    for seed in range(3):
+        dead = 10 + seed
+        tags = clustered_tags(seed, dead)
+        expected = dead_time_loop(tags, dead)
+        model = DetectorModel(dead_time_ps=dead)
+        for piece in (1, 2, 5, 64, tags.size):
+            out = feed_in_pieces(Detector(model, int(tags[-1]), seed), tags, piece)
+            assert np.array_equal(out, expected), (seed, piece)
+        whole = apply_detector(TagStream(0, tags, int(tags[-1])), model, seed)
+        assert np.array_equal(whole.tags, expected)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_detector_jitter_crosses_seams_exactly(block, monkeypatch):
+    # a 100 ps grid with 30 ps jitter: neighbours swap about once in 120 pairs,
+    # so jittered tags cross the seams between pieces, but never a whole piece
+    monkeypatch.setattr(simkit, "_BLOCK", block)
+    tags = np.arange(0, 100_000, 100, dtype=np.int64)
+    duration = int(tags[-1]) + 50
+    for model in (DetectorModel(jitter_sigma_ps=30), DetectorModel(30, dead_time_ps=90)):
+        ref = np.random.default_rng(21)
+        shifted = tags + np.rint(ref.normal(0.0, 30, tags.size)).astype(np.int64)
+        assert np.any(shifted[1:] < shifted[:-1])  # some tags do cross
+        expected = np.sort(np.clip(shifted, 0, duration))
+        if model.dead_time_ps:
+            expected = dead_time_loop(expected, model.dead_time_ps)
+        whole = apply_detector(TagStream(0, tags, duration), model, 21)
+        assert np.array_equal(whole.tags, expected)
+        for piece in (1, 3, 7, 100):
+            rng = np.random.default_rng(21)
+            out = feed_in_pieces(Detector(model, duration, rng), tags, piece)
+            assert np.array_equal(out, expected), piece
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_detector_jitter_beyond_a_whole_block_is_an_error():
+    det = Detector(DetectorModel(jitter_sigma_ps=1e6), 10**9, 3)
+    with pytest.raises(SimError, match="whole block"):
+        for t in range(10**4, 10**4 + 200):
+            det.feed(np.array([t], dtype=np.int64))
+
+
+def test_detector_empty_pieces():
+    model = DetectorModel(jitter_sigma_ps=50, dead_time_ps=200)
+    tags = clustered_tags(4, 200)
+    expected = apply_detector(TagStream(0, tags, int(tags[-1])), model, 9).tags
+    det = Detector(model, int(tags[-1]), 9)
+    empty = tags[:0]
+    out = [det.feed(empty), det.feed(tags[:400]), det.feed(empty), det.feed(tags[400:]),
+           det.feed(empty), det.close(), det.close()]
+    assert np.array_equal(np.concatenate(out), expected)
+
+
 def test_hbt_split():
     n = 100000
     tags = np.sort(np.random.default_rng(10).integers(0, SEC, n, dtype=np.int64))
@@ -200,6 +273,43 @@ def test_converter_blocked_arm_keeps_darks_and_background(tmp_path):
     _, signal = simulate_converted(tmp_path, 0.0)
     mean = CONVERTED["W2"] + CONVERTED["B"]
     assert abs(signal.tags.size - mean) < 4 * np.sqrt(mean)
+
+
+DETECTED = ("[run]\nkind = g2_chain\nduration_ps = 200000000\n"
+            "[source]\npair_rate_per_s = 2e6\nq1 = 0.1\nq2 = 0.3\neta1 = 0.5\neta2 = 0.6\n"
+            "dark1_per_s = 500\ndark2_per_s = 2300\n"
+            "[detector_herald]\njitter_sigma_ps = 254.8\ndead_time_ps = 50000\n"
+            "[detector_signal]\njitter_sigma_ps = 15\ndead_time_ps = 50000\n")
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_simulate_in_time_blocks_detects_like_whole_streams(tmp_path, block, monkeypatch):
+    # time blocks of a few tags each: jitter and dead time cross every seam
+    monkeypatch.setattr(simkit, "_BLOCK", block)
+    monkeypatch.setattr(io, "_BLOCK", block)
+    sc = tmp_path / "detected.ini"
+    sc.write_text(DETECTED)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(out), "--seed", "4"]) == 0
+    # the same stages on whole streams, each from its own spawned generator
+    p = SourceParams(2e6, q1=0.1, q2=0.3, eta1=0.5, eta2=0.6, dark1_per_s=500,
+                     dark2_per_s=2300)
+    duration = 200_000_000
+    source_rng, split_rng, *rngs = np.random.default_rng(4).spawn(5)
+    blocks = list(simkit.pair_blocks(p, duration, source_rng))
+    assert len(blocks) > 20
+    herald, signal = (TagStream(k, np.concatenate([b[k] for b in blocks]), duration)
+                      for k in (0, 1))
+    streams = (herald, *hbt_split(signal, split_rng, channels=(1, 2)))
+    models = (DetectorModel(254.8, 50_000), DetectorModel(15, 50_000), DetectorModel(15, 50_000))
+    summary = io.read_summary(out / "summary.json")
+    for label, stream, model, rng in zip(("herald", "hbt1", "hbt2"), streams, models, rngs):
+        expected = apply_detector(stream, model, rng)
+        back = io.read_ptag(out / f"{label}.ptag")
+        assert back.channel == expected.channel
+        assert np.array_equal(back.tags, expected.tags), label
+        assert summary["counts"][label] == expected.tags.size
+        assert expected.tags.size < stream.tags.size  # the dead time removed some
 
 
 def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,

@@ -18,7 +18,7 @@ from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import (
     AnalysisError,
     CorrelationHistogram,
-    _window_flags,
+    HeraldedG2Counter,
     cross_correlate,
     extract_sbr,
     franson_visibility_scan,
@@ -276,13 +276,19 @@ def test_heralded_g2_histogram_equals_mask_loop():
     hbt1 = poisson_stream(1e6, SEC // 100, 91, channel=1)
     hbt2 = poisson_stream(1e6, SEC // 100, 92, channel=2)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
-    f1 = np.zeros(herald.tags.size, dtype=bool)
-    f2 = np.zeros(herald.tags.size, dtype=bool)
-    f1[_window_flags(herald.tags, hbt1, 100000.0)] = True
-    f2[_window_flags(herald.tags, hbt2, 100000.0)] = True
+    f1 = window_flags_mask(herald.tags, hbt1, 100000.0)
+    f2 = window_flags_mask(herald.tags, hbt2, 100000.0)
     assert np.array_equal(res.m_values, np.arange(-50, 51))
     assert np.array_equal(res.histogram, separation_histogram_loop(f1, f2, 50))
     assert res.histogram.sum() > 1000
+
+
+def streamed_flags(herald: np.ndarray, hbt: TagStream, half_window: float, block: int):
+    """hbt's flagged herald indices from a HeraldedG2Counter fed blocks of block heralds."""
+    counter = HeraldedG2Counter(hbt, hbt, 2 * half_window)
+    flags = [counter.add(herald[start:start + block])[0]
+             for start in range(0, herald.size, block)]
+    return np.concatenate(flags + [counter.finish()[0]])
 
 
 @pytest.mark.parametrize("herald, tags", [
@@ -294,22 +300,66 @@ def test_heralded_g2_histogram_equals_mask_loop():
 def test_window_flags_equal_mask(herald, tags):
     herald = np.array(herald, dtype=np.int64)
     stream = TagStream(1, np.array(tags, dtype=np.int64), 10**6)
-    flagged = _window_flags(herald, stream, 50.0)
-    assert flagged.dtype == np.intp
-    assert np.array_equal(flagged, np.flatnonzero(window_flags_mask(herald, stream, 50.0)))
+    expected = np.flatnonzero(window_flags_mask(herald, stream, 50.0))
+    for block in (1, 2, 3, 7, tagcorr._BLOCK):
+        flagged = streamed_flags(herald, stream, 50.0, block)
+        assert flagged.dtype == np.intp
+        assert np.array_equal(flagged, expected), block
 
 
 def test_window_flags_equal_mask_across_blocks():
     # ten tags per herald: the same herald is nearest on both sides of block seams
     herald = poisson_stream(1e6, SEC // 100, 93)
     hbt = poisson_stream(1e7, SEC // 100, 94, channel=1)
-    assert hbt.tags.size > 4 * tagcorr._CHUNK
     for half_window in (100.0, 400.0, 10**6):
-        flagged = _window_flags(herald.tags, hbt, half_window)
-        assert np.array_equal(flagged,
-                              np.flatnonzero(window_flags_mask(herald.tags, hbt, half_window)))
+        expected = np.flatnonzero(window_flags_mask(herald.tags, hbt, half_window))
+        for block in (7, 1000, tagcorr._BLOCK):
+            assert np.array_equal(streamed_flags(herald.tags, hbt, half_window, block),
+                                  expected)
     empty = TagStream(1, np.empty(0, dtype=np.int64), SEC)
-    assert _window_flags(herald.tags, empty, 100.0).size == 0
+    assert streamed_flags(herald.tags, empty, 100.0, 7).size == 0
+
+
+SEAM_HERALDS = [100, 200, 200, 200, 300, 300, 400, 1000, 5000, 5000, 5100]
+SEAM_TAGS = [50, 150, 199, 200, 200, 201, 250, 300, 300, 350, 400, 1040, 4990, 5000, 5050,
+             5100, 5100, 5160]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_heralded_g2_seams_equal_whole_stream_masks(block, monkeypatch):
+    # duplicate heralds and ties on both sides of the seams, tags equal to a
+    # block's last herald, and blocks of heralds that no tag comes near
+    herald = TagStream(0, np.array(SEAM_HERALDS, dtype=np.int64), 10**4)
+    tags = TagStream(1, np.array(SEAM_TAGS, dtype=np.int64), 10**4)
+    for half_window in (0.5, 10.0, 50.0, 60.0):
+        expected = np.flatnonzero(window_flags_mask(herald.tags, tags, half_window))
+        assert np.array_equal(streamed_flags(herald.tags, tags, half_window, block),
+                              expected)
+    # the whole estimator, fed through heralded_g2's own blocks
+    herald = poisson_stream(2e5, SEC // 1000, 95)
+    hbt1 = poisson_stream(1e6, SEC // 1000, 96, channel=1)
+    hbt2 = poisson_stream(1e6, SEC // 1000, 97, channel=2)
+    whole = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
+    monkeypatch.setattr(tagcorr, "_BLOCK", block)
+    res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
+    f1 = window_flags_mask(herald.tags, hbt1, 100000.0)
+    f2 = window_flags_mask(herald.tags, hbt2, 100000.0)
+    assert np.array_equal(res.histogram, separation_histogram_loop(f1, f2, 50))
+    assert np.array_equal(res.histogram, whole.histogram)
+    assert res.g2_zero == whole.g2_zero and res.sigma == whole.sigma
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_cross_correlate_seams_equal_bruteforce(block, monkeypatch):
+    # pairs that cross many seams: each tag of a reaches tags of b several blocks away
+    rng = np.random.default_rng(block)
+    a = TagStream(0, np.sort(rng.integers(0, 10**5, 300, dtype=np.int64)), 10**5)
+    b = TagStream(1, np.sort(np.concatenate([rng.integers(0, 10**5, 200, dtype=np.int64),
+                                             a.tags[::5] + 1500])), 10**5 + 1500)
+    monkeypatch.setattr(tagcorr, "_BLOCK", block)
+    for x, y in ((a, b), (b, a)):
+        fast = cross_correlate(x, y, 1500, 30000)
+        assert np.array_equal(fast.bins, cross_correlate_bruteforce(x, y, 1500, 30000).bins)
 
 
 @pytest.mark.parametrize("gate", [1, 2, 7, 300, 301])
