@@ -6,7 +6,8 @@ import struct
 
 import numpy as np
 
-from .simkit import _BLOCK, TagStream
+from . import simkit
+from .simkit import TagStream, _blocks
 from .spectral import Spectrum
 
 PTAG_MAGIC = b"PTAG"
@@ -81,39 +82,35 @@ class PtagWriter(_PtagFile):
     Header: magic "PTAG", u16 version, u64 duration_ps (little endian), then
     9-byte records of u8 channel + u64 timestamp_ps, time ordered: each block
     must be sorted and start at or after the last tag of the one before.
-    The records go out through one buffer of at most _BLOCK records.
     """
 
     def __init__(self, path, channel: int, duration_ps: int):
         self.channel = channel
         self.count = 0  # records written
-        self._buf = np.empty(0, dtype=_RECORD_DTYPE)
         self._fh = open(path, "wb")
         self._fh.write(PTAG_MAGIC)
         self._fh.write(struct.pack("<HQ", PTAG_VERSION, duration_ps))
 
     def append(self, tags: np.ndarray) -> None:
-        if self._buf.size < min(tags.size, _BLOCK):
-            self._buf = np.empty(min(tags.size, _BLOCK), dtype=_RECORD_DTYPE)
-            self._buf["channel"] = self.channel
-        for start in range(0, tags.size, _BLOCK):
-            records = self._buf[:min(_BLOCK, tags.size - start)]
-            records["timestamp_ps"] = tags[start:start + _BLOCK]
-            records.tofile(self._fh)
+        records = np.empty(tags.size, dtype=_RECORD_DTYPE)
+        records["channel"] = self.channel
+        records["timestamp_ps"] = tags
+        records.tofile(self._fh)
         self.count += tags.size
 
 
 def write_ptag(path, stream: TagStream) -> None:
-    """Write one tag stream to the PTAG binary format (see PtagWriter)."""
+    """Write one tag stream to the PTAG binary format (see PtagWriter), block by block."""
     with PtagWriter(path, stream.channel, stream.duration_ps) as writer:
-        writer.append(stream.tags)
+        for block in _blocks(stream.tags):
+            writer.append(block)
 
 
 class PtagReader(_PtagFile):
     """A single-channel PTAG file: its header, then its timestamps in checked blocks.
 
     Opening reads the header and sizes the file; blocks() reads the records
-    through one buffer of _BLOCK records.  A record on a second channel, a
+    through one buffer of simkit._BLOCK records.  A record on a second channel, a
     timestamp of 2^63 ps or more, beyond the header's duration or before the
     record ahead of it, or a file that ends early, is a FileFormatError.  A
     file without records has channel 0.
@@ -144,17 +141,17 @@ class PtagReader(_PtagFile):
             raise
 
     def blocks(self, out: np.ndarray | None = None):
-        """The timestamps as int64 blocks of _BLOCK, in file order.
+        """The timestamps as int64 blocks of simkit._BLOCK, in file order.
 
         With out (size records long) the blocks are its consecutive slices;
         without, one reused buffer that the next block overwrites.
         """
-        path, n = self.path, self.size
-        buf = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
+        path, n, size = self.path, self.size, simkit._BLOCK
+        buf = np.empty(min(n, size), dtype=_RECORD_DTYPE)
         tags = np.empty(buf.size, dtype=np.int64) if out is None else None
         last = 0
-        for start in range(0, n, _BLOCK):
-            records = buf[:min(_BLOCK, n - start)]
+        for start in range(0, n, size):
+            records = buf[:min(size, n - start)]
             if self._fh.readinto(records) != records.nbytes:
                 raise FileFormatError(f"{path}: file shrank while being read")
             channels = records["channel"]

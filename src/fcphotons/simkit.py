@@ -12,10 +12,16 @@ from .twophoton import PairCoherence, coincidence_rate
 
 MAX_EXPECTED_COUNTS = 2**31
 
-# tags per block of every streamed stage: the source's time blocks, the mark and
-# jitter draws, the dead time, PTAG reads and writes (io) and the herald blocks
-# of the correlators (tagcorr); bounds their scratch arrays
+# tags per block of every streamed stage; bounds their scratch arrays.  _blocks
+# cuts the mark and jitter draws, the dead time, PTAG writes (io) and the herald
+# blocks of the correlators (tagcorr); PTAG reads (io), the source's time blocks
+# and _unsorted count their own blocks of the same size
 _BLOCK = 1 << 16
+
+
+def _blocks(a: np.ndarray):
+    """Consecutive slices of _BLOCK elements of a."""
+    return (a[start:start + _BLOCK] for start in range(0, a.size, _BLOCK))
 
 
 class SimError(ValueError):
@@ -144,11 +150,8 @@ def _merge(*arrays):
 def _marks(rng, p, n):
     """rng.random(n) < p, the same draws as one call, made in blocks of _BLOCK."""
     mask = np.empty(n, dtype=bool)
-    u = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        part = u[:min(_BLOCK, n - start)]
-        rng.random(out=part)
-        np.less(part, p, out=mask[start:start + _BLOCK])
+    for part in _blocks(mask):
+        np.less(rng.random(part.size), p, out=part)
     return mask
 
 
@@ -247,15 +250,11 @@ class Detector:
     def _jitter(self, tags):
         """Sorted tags + rint(N(0, sigma)), clipped to [0, duration], built block by block."""
         out = np.empty(tags.size, dtype=np.int64)
-        draws = np.empty(min(tags.size, _BLOCK))
-        for start in range(0, tags.size, _BLOCK):
-            shift = draws[:min(_BLOCK, tags.size - start)]
-            self._rng.standard_normal(out=shift)
+        for part, block in zip(_blocks(out), _blocks(tags)):
+            shift = self._rng.standard_normal(part.size)
             shift *= self.model.jitter_sigma_ps
-            np.rint(shift, out=shift)
-            part = out[start:start + shift.size]
-            part[...] = shift
-            part += tags[start:start + shift.size]
+            part[...] = np.rint(shift, out=shift)
+            part += block
             np.clip(part, 0, self.duration_ps, out=part)
         out.sort(kind="stable")  # timsort: the tags were sorted before the shifts
         return out
@@ -265,36 +264,36 @@ class Detector:
 
         A tag at least the dead time after its predecessor is kept whatever
         came before, so the sequential rule only runs on the closer tags.
-        The tags go in blocks of _BLOCK; kept tags are packed at the front of
-        tags itself when the detector owns it, else of a new array.
+        Each block of _BLOCK tags runs against the last tag kept so far; kept
+        tags are packed at the front of tags itself when the detector owns
+        it, else of a new array.
         """
         dead = self.model.dead_time_ps
         if dead <= 0 or not tags.size:
             return tags
         out = tags if owned else np.empty_like(tags)
-        n, last, prev = 0, self._last, -1  # prev: the last close tag's index
-        for start in range(0, tags.size, _BLOCK):
-            stop = min(start + _BLOCK, tags.size)
-            lo = max(start, 1)
-            close = np.flatnonzero(tags[lo:stop] - tags[lo - 1:stop - 1] < dead) + lo
-            if start == 0 and last is not None and tags[0] - last < dead:
-                close = np.concatenate(([0], close))  # tag 0 joins the carried cluster
-            keep = np.ones(stop - start, dtype=bool)
-            # tags[close - 1] reads tags[-1] for i = 0, which the carried last replaces
-            for i, t, t_before in zip(close.tolist(), tags[close].tolist(),
-                                      tags[close - 1].tolist()):
+        n = 0
+        for part in _blocks(tags):
+            last, prev = self._last, -1  # prev: the last close tag's index
+            close = np.flatnonzero(part[1:] - part[:-1] < dead) + 1
+            if last is not None and part[0] - last < dead:
+                close = np.concatenate(([0], close))  # tag 0 joins the last kept tag's cluster
+            keep = np.ones(part.size, dtype=bool)
+            # part[close - 1] reads part[-1] for i = 0, which the last kept tag replaces
+            for i, t, t_before in zip(close.tolist(), part[close].tolist(),
+                                      part[close - 1].tolist()):
                 if i != prev + 1:  # tag i - 1 opens a cluster
                     last = t_before
                 if t - last >= dead:
                     last = t
                 else:
-                    keep[i - start] = False
+                    keep[i] = False
                 prev = i
-            kept = tags[start:stop][keep]
+            kept = part[keep]
             out[n:n + kept.size] = kept
             n += kept.size
-        if n:
-            self._last = int(out[n - 1])
+            if kept.size:
+                self._last = int(kept[-1])
         return out[:n]
 
 

@@ -6,17 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import poisson_interval
-from .simkit import _BLOCK, TagStream
+from .simkit import TagStream, _blocks
 from .spectral import fringe_fit
 
 
 # heralded_g2's herald-separation range and the |m| where its plateau starts
 G2_MAX_SEPARATION = 50
 G2_PLATEAU_FROM = 10
-
-# tags of the walked stream per block in _delay_histogram; bounds its scratch
-# arrays (the expanded pairs near 1 MB on the bundled g2_chain)
-_CHUNK = 1 << 14
 
 
 class AnalysisError(ValueError):
@@ -68,11 +64,6 @@ def _window(a: np.ndarray, b: np.ndarray, low: int, high: int):
             np.searchsorted(b, a + high, side="right"))
 
 
-def _blocks(tags: np.ndarray):
-    """Consecutive slices of _BLOCK tags, the blocks in which analyze reads a PTAG file."""
-    return (tags[start:start + _BLOCK] for start in range(0, tags.size, _BLOCK))
-
-
 def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
                      n_half: int) -> np.ndarray:
     """Counts of the delays d = b[j] - a[i] in bins k = (2d + w) // (2w), |k| <= n_half.
@@ -80,29 +71,26 @@ def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
     Single pass over sorted int64 tags: b is cut to the tags that some tag of
     a can reach, the window of each tag of the shorter stream holds every tag
     of the other within reach of the outermost bins, the pairs in it are
-    expanded into their delays and binned with bincount.  The shorter stream
-    is taken in blocks of _CHUNK tags so the expanded pair arrays stay small.
+    expanded into their delays and binned with bincount.  The expanded pair
+    arrays grow with the pairs in reach, so callers bound them by feeding a in
+    blocks (CrossCorrelator).
     """
     w = int(bin_width)
     reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
     nbins = 2 * n_half + 1
-    counts = np.zeros(nbins + 1, dtype=np.int64)
     if not a.size:
-        return counts[:nbins]
+        return np.zeros(nbins, dtype=np.int64)
     b = b[np.searchsorted(b, a[0] - reach):np.searchsorted(b, a[-1] + reach, side="right")]
     sign = 1
     if b.size < a.size:  # walk the shorter stream: the same pairs from fewer windows
         a, b, sign = b, a, -1
-    for start in range(0, a.size, _CHUNK):
-        block = a[start:start + _CHUNK]
-        lo, hi = _window(block, b, -reach, reach)
-        n = hi - lo
-        # the p-th pair of tag i sits at b[lo[i] + p]
-        first = np.cumsum(n) - n
-        j = np.arange(n.sum()) + np.repeat(lo - first, n)
-        d = sign * (b[j] - np.repeat(block, n))
-        counts += np.bincount((2 * d + w) // (2 * w) + n_half, minlength=nbins + 1)
-    return counts[:nbins]
+    lo, hi = _window(a, b, -reach, reach)
+    n = hi - lo
+    # the p-th pair of tag i sits at b[lo[i] + p]
+    first = np.cumsum(n) - n
+    j = np.arange(n.sum()) + np.repeat(lo - first, n)
+    d = sign * (b[j] - np.repeat(a, n))
+    return np.bincount((2 * d + w) // (2 * w) + n_half, minlength=nbins + 1)[:nbins]
 
 
 class CrossCorrelator:
@@ -135,7 +123,7 @@ def cross_correlate(a: TagStream, b: TagStream, bin_width_ps: int,
     Bin k holds the integer delays d with (k - 1/2) w <= d < (k + 1/2) w, found
     in one pass over the tags with int64 arithmetic (see _delay_histogram), so
     it stays exact however late the tags are.  a goes through a
-    CrossCorrelator in blocks of _BLOCK.
+    CrossCorrelator in the blocks of simkit._blocks.
     """
     correlator = CrossCorrelator(b, bin_width_ps, delay_range_ps)
     for block in _blocks(a.tags):
@@ -290,7 +278,7 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     on h0 divided by the plateau.  It neglects the plateau's own error, which
     is small beside h0's because the plateau averages 82 bins.
 
-    The heralds go through a HeraldedG2Counter in blocks of _BLOCK.
+    The heralds go through a HeraldedG2Counter in the blocks of simkit._blocks.
     """
     counter = HeraldedG2Counter(hbt1, hbt2, window_ps)
     for block in _blocks(herald.tags):

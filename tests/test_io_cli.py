@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fcphotons
-from fcphotons import io, models, tagcorr
+from fcphotons import io, models, simkit
 from fcphotons.cli import main
 from fcphotons.scenario import FransonScanSettings, load_scenario
 from fcphotons.simkit import DetectorModel, SourceParams, TagStream
@@ -144,7 +144,7 @@ def test_ptag_beyond_int64_rejected(tmp_path, capsys, timestamp, duration_ps):
     assert "2^63" in capsys.readouterr().err
 
 
-BLOCK = io._BLOCK  # records per PTAG read/write block
+BLOCK = simkit._BLOCK  # records per PTAG read/write block
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
@@ -276,8 +276,7 @@ def test_analyze_in_blocks_equals_one_block(tmp_path, block, monkeypatch):
 
     whole = analyze_all("whole")
     assert io.read_summary(tmp_path / "whole" / "g2" / "analysis.json")["status"] == "ok"
-    monkeypatch.setattr(io, "_BLOCK", block)
-    monkeypatch.setattr(tagcorr, "_BLOCK", block)
+    monkeypatch.setattr(simkit, "_BLOCK", block)
     assert analyze_all("blocks") == whole
     assert len(whole) == 5
 

@@ -286,7 +286,6 @@ DETECTED = ("[run]\nkind = g2_chain\nduration_ps = 200000000\n"
 def test_simulate_in_time_blocks_detects_like_whole_streams(tmp_path, block, monkeypatch):
     # time blocks of a few tags each: jitter and dead time cross every seam
     monkeypatch.setattr(simkit, "_BLOCK", block)
-    monkeypatch.setattr(io, "_BLOCK", block)
     sc = tmp_path / "detected.ini"
     sc.write_text(DETECTED)
     out = tmp_path / "run"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fcphotons import tagcorr
+from fcphotons import simkit
 from fcphotons.models import RateModelParams, ab_from_physics, g2_from_sbr, sbr_model
 from fcphotons.simkit import (
     DetectorModel,
@@ -301,7 +301,7 @@ def test_window_flags_equal_mask(herald, tags):
     herald = np.array(herald, dtype=np.int64)
     stream = TagStream(1, np.array(tags, dtype=np.int64), 10**6)
     expected = np.flatnonzero(window_flags_mask(herald, stream, 50.0))
-    for block in (1, 2, 3, 7, tagcorr._BLOCK):
+    for block in (1, 2, 3, 7, simkit._BLOCK):
         flagged = streamed_flags(herald, stream, 50.0, block)
         assert flagged.dtype == np.intp
         assert np.array_equal(flagged, expected), block
@@ -313,7 +313,7 @@ def test_window_flags_equal_mask_across_blocks():
     hbt = poisson_stream(1e7, SEC // 100, 94, channel=1)
     for half_window in (100.0, 400.0, 10**6):
         expected = np.flatnonzero(window_flags_mask(herald.tags, hbt, half_window))
-        for block in (7, 1000, tagcorr._BLOCK):
+        for block in (7, 1000, simkit._BLOCK):
             assert np.array_equal(streamed_flags(herald.tags, hbt, half_window, block),
                                   expected)
     empty = TagStream(1, np.empty(0, dtype=np.int64), SEC)
@@ -340,7 +340,7 @@ def test_heralded_g2_seams_equal_whole_stream_masks(block, monkeypatch):
     hbt1 = poisson_stream(1e6, SEC // 1000, 96, channel=1)
     hbt2 = poisson_stream(1e6, SEC // 1000, 97, channel=2)
     whole = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
-    monkeypatch.setattr(tagcorr, "_BLOCK", block)
+    monkeypatch.setattr(simkit, "_BLOCK", block)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
     f1 = window_flags_mask(herald.tags, hbt1, 100000.0)
     f2 = window_flags_mask(herald.tags, hbt2, 100000.0)
@@ -356,7 +356,7 @@ def test_cross_correlate_seams_equal_bruteforce(block, monkeypatch):
     a = TagStream(0, np.sort(rng.integers(0, 10**5, 300, dtype=np.int64)), 10**5)
     b = TagStream(1, np.sort(np.concatenate([rng.integers(0, 10**5, 200, dtype=np.int64),
                                              a.tags[::5] + 1500])), 10**5 + 1500)
-    monkeypatch.setattr(tagcorr, "_BLOCK", block)
+    monkeypatch.setattr(simkit, "_BLOCK", block)
     for x, y in ((a, b), (b, a)):
         fast = cross_correlate(x, y, 1500, 30000)
         assert np.array_equal(fast.bins, cross_correlate_bruteforce(x, y, 1500, 30000).bins)
