@@ -25,6 +25,8 @@ SEC = 10**12  # ps
 MB = 2**20
 # the bundled g2_chain source at 1 s, converter folded into eta2: 1e6 heralds
 G2_CHAIN = SourceParams(2e6, q2=0.3, eta1=0.5, eta2=0.6 * 0.08, dark2_per_s=2300 + 1000)
+# perfbench's dense_sbr source at 1 s, without the converter: 1e6 heralds, 1.6e6 signal tags
+DENSE_SBR = SourceParams(2e6, q2=0.3, eta1=0.5, eta2=0.6, dark2_per_s=2300)
 
 
 def traced_peak(fn, *args):
@@ -70,6 +72,16 @@ def test_heralded_g2_holds_under_a_quarter_of_the_heralds(g2_chain_streams):
     res, peak = traced_peak(tagcorr.heralded_g2, herald, hbt1, hbt2, 1500.0)
     assert res.histogram.sum() > 0
     assert peak < herald.tags.nbytes / 4
+
+
+def test_cross_correlate_dense_holds_under_half_the_heralds():
+    # each herald block reaches about 5e4 hbt1 tags, all walked in one pass
+    herald, signal = generate_pair_streams(DENSE_SBR, SEC, seed=11)
+    hbt1 = hbt_split(signal, seed=12)[0]
+    assert herald.tags.size > 990_000 and hbt1.tags.size > 750_000
+    hist, peak = traced_peak(tagcorr.cross_correlate, herald, hbt1, 150, 150_000)
+    assert hist.bins.size == 2001 and hist.bins.sum() > 0
+    assert peak < herald.tags.nbytes / 2
 
 
 def test_apply_detector_with_jitter_and_dead_time_holds_input_plus_2_mb():
