@@ -44,7 +44,8 @@ def load_table(path) -> np.ndarray:
     """Numeric rows of a comma-separated text file as a 2-D float array.
 
     Blank lines, '#' comments and rows that do not parse as numbers (a
-    column header) are skipped; every numeric row must have the same width.
+    column header) are skipped; every numeric row must have the same width,
+    and every value must be finite.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -60,7 +61,10 @@ def load_table(path) -> np.ndarray:
         raise FileFormatError(f"{path}: no numeric rows")
     if len({len(r) for r in rows}) > 1:
         raise FileFormatError(f"{path}: rows differ in column count")
-    return np.asarray(rows, dtype=float)
+    table = np.asarray(rows, dtype=float)
+    if not np.isfinite(table).all():
+        raise FileFormatError(f"{path}: non-finite value (nan or inf)")
+    return table
 
 
 class _PtagFile:

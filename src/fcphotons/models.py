@@ -122,6 +122,8 @@ def fit_sbr(points, dt_s) -> SbrFitResult:
     (a, b) after inversion: 1/(sbr*dt) = a*R + b.  A negative unconstrained
     b is clamped to zero and flagged.
     """
+    if not (math.isfinite(dt_s) and dt_s > 0):
+        raise ModelError(f"fit_sbr: dt must be positive and finite, got {dt_s}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 2:
         raise ModelError("fit_sbr: need at least 2 (rate, sbr) points")

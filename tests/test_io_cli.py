@@ -412,6 +412,27 @@ def test_cli_fit(tmp_path):
     assert res["b_at_boundary"] is False
 
 
+@pytest.mark.parametrize("row, dt, error", [
+    ("1e5,nan", "1.5e-9", "non-finite value"),
+    ("1e5,inf", "1.5e-9", "non-finite value"),
+    ("nan,50", "1.5e-9", "non-finite value"),
+    (None, "-1", "dt must be positive and finite"),
+    (None, "0", "dt must be positive and finite"),
+    (None, "nan", "dt must be positive and finite"),
+    (None, "inf", "dt must be positive and finite"),
+], ids=["sbr_nan", "sbr_inf", "rate_nan", "dt_negative", "dt_zero", "dt_nan", "dt_inf"])
+def test_cli_fit_rejects_nonfinite_and_nonpositive(tmp_path, capsys, row, dt, error):
+    path = tmp_path / "points.csv"
+    write_sbr_points(path, 1.5e-9)
+    if row is not None:
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+    out = tmp_path / "fit"
+    assert main(["fit", str(path), "--dt-s", dt, "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
+
+
 def test_cli_reproduce_all_figures(tmp_path):
     for fig in ("fig2", "fig3", "fig4", "fig5b", "fig5c"):
         out = tmp_path / fig
@@ -525,12 +546,14 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     (MINIMAL_FRANSON.replace("phase_points = 12\n", ""), "missing key franson.phase_points"),
     (MINIMAL_FRANSON.replace("fwhm_ghz = 118\n", ""), "missing key phase_matching.fwhm_ghz"),
     (MINIMAL_FRANSON.replace("gate_ps = 512\n", ""), "missing key analysis.gate_ps"),
+    (MINIMAL_FRANSON.replace("gaussian_fwhm_ghz = 173", "file = nan_line.csv"),
+     "nan_line.csv: non-finite value"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
         "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
         "int_key_fractional", "int_key_integral_float", "g2_chain_with_franson",
         "g2_chain_with_analysis", "franson_with_qfc", "spectrum_both", "spectrum_neither",
-        "missing_phase_points", "missing_pm_fwhm", "missing_gate"])
+        "missing_phase_points", "missing_pm_fwhm", "missing_gate", "spectrum_nan"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario.startswith("["):
         path = tmp_path / "scenario.ini"
@@ -538,6 +561,8 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
         scenario = str(path)
         # a line broader than the Gaussian, for the cases that name a spectrum file
         io.save_curve(tmp_path / "line.csv", [-300.0, 0.0, 300.0], [0.5, 1.0, 0.5],
+                      ("nu_GHz", "intensity"))
+        io.save_curve(tmp_path / "nan_line.csv", [-300.0, 0.0, 300.0], [0.5, np.nan, 0.5],
                       ("nu_GHz", "intensity"))
     if error is not None:
         assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 2
