@@ -71,9 +71,9 @@ def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
     Single pass over sorted int64 tags: b is cut to the tags that some tag of
     a can reach, the window of each tag of the shorter stream holds every tag
     of the other within reach of the outermost bins, the pairs in it are
-    expanded into their delays and binned with bincount.  The expanded pair
-    arrays grow with the pairs in reach, so callers bound them by feeding a in
-    blocks (CrossCorrelator).
+    expanded into their delays and binned with bincount.  The scratch arrays
+    grow with the walked stream and its pairs, so callers bound them by
+    feeding a in blocks (CrossCorrelator).
     """
     w = int(bin_width)
     reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
@@ -84,11 +84,11 @@ def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
     sign = 1
     if b.size < a.size:  # walk the shorter stream: the same pairs from fewer windows
         a, b, sign = b, a, -1
-    lo, hi = _window(a, b, -reach, reach)
-    n = hi - lo
-    # the p-th pair of tag i sits at b[lo[i] + p]
-    first = np.cumsum(n) - n
-    j = np.arange(n.sum()) + np.repeat(lo - first, n)
+    lo, n = _window(a, b, -reach, reach)
+    n -= lo  # pairs per tag; n and lo are updated in place to keep the scratch small
+    # the p-th pair of tag i sits at b[lo[i] + p] and is pair first[i] + p overall
+    lo -= np.cumsum(n) - n  # lo - first
+    j = np.arange(n.sum()) + np.repeat(lo, n)
     d = sign * (b[j] - np.repeat(a, n))
     return np.bincount((2 * d + w) // (2 * w) + n_half, minlength=nbins + 1)[:nbins]
 
