@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import singles_rate
 from .twophoton import PairCoherence, coincidence_rate
 
 MAX_EXPECTED_COUNTS = 2**31
@@ -196,9 +197,8 @@ def pair_blocks(p: SourceParams, duration_ps: int, seed):
     """
     if duration_ps < 0:
         raise SimError("duration must be nonnegative")
-    rate = p.pair_rate_per_s
-    busiest = max(rate * p.eta1 * (1.0 + p.q1) + p.dark1_per_s,
-                  rate * p.eta2 * (1.0 + p.q2) + p.dark2_per_s)
+    busiest = max(singles_rate(p.pair_rate_per_s, p.eta1, p.q1, p.dark1_per_s),
+                  singles_rate(p.pair_rate_per_s, p.eta2, p.q2, p.dark2_per_s))
     if busiest * duration_ps * 1e-12 > MAX_EXPECTED_COUNTS:
         raise SimError(f"expected count {busiest * duration_ps * 1e-12:.3g} exceeds 2^31; "
                        "shorten the run")

@@ -37,6 +37,21 @@ def _check_uniform_grid(grid, what):
     return grid, step
 
 
+def _check_curve(curve, grid_name, values_name, upper=np.inf):
+    """Check a frozen curve's uniform grid and its values in [0, upper]; store both
+    as float arrays, and the grid step as curve.step.  Returns the values."""
+    what = type(curve).__name__
+    grid, step = _check_uniform_grid(getattr(curve, grid_name), f"{what}.{grid_name}")
+    values = np.asarray(getattr(curve, values_name), dtype=float)
+    if values.shape != grid.shape:
+        raise SpectralError(f"{what}: {values_name}/grid length mismatch")
+    if np.any(values < 0) or np.any(values > upper):
+        raise SpectralError(f"{what}: {values_name} outside [0, {upper:.9g}]")
+    for name, value in ((grid_name, grid), (values_name, values), ("step", step)):
+        object.__setattr__(curve, name, value)
+    return values
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Tabulated relative power density on a uniform frequency grid (GHz)."""
@@ -46,17 +61,8 @@ class Spectrum:
     step: float = field(init=False)
 
     def __post_init__(self):
-        grid, step = _check_uniform_grid(self.nu_grid, "Spectrum.nu_grid")
-        inten = np.asarray(self.intensity, dtype=float)
-        if inten.shape != grid.shape:
-            raise SpectralError("Spectrum: intensity/grid length mismatch")
-        if np.any(inten < 0):
-            raise SpectralError("Spectrum: negative intensity")
-        if not np.any(inten > 0):
+        if not np.any(_check_curve(self, "nu_grid", "intensity") > 0):
             raise SpectralError("Spectrum: all-zero intensity")
-        object.__setattr__(self, "nu_grid", grid)
-        object.__setattr__(self, "intensity", inten)
-        object.__setattr__(self, "step", step)
 
 
 @dataclass(frozen=True)
@@ -80,15 +86,7 @@ class CoherenceEnvelope:
     step: float = field(init=False)
 
     def __post_init__(self):
-        grid, step = _check_uniform_grid(self.tau_grid, "CoherenceEnvelope.tau_grid")
-        mag = np.asarray(self.magnitude, dtype=float)
-        if mag.shape != grid.shape:
-            raise SpectralError("CoherenceEnvelope: magnitude/grid length mismatch")
-        if np.any(mag < 0) or np.any(mag > 1 + 1e-9):
-            raise SpectralError("CoherenceEnvelope: magnitude outside [0, 1]")
-        object.__setattr__(self, "tau_grid", grid)
-        object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "step", step)
+        _check_curve(self, "tau_grid", "magnitude", 1 + 1e-9)
 
 
 def integral_bandwidth(s: Spectrum) -> float:
@@ -168,15 +166,14 @@ def time_bandwidth_product(s: Spectrum, e: CoherenceEnvelope) -> float:
     return coherence_time(e) * integral_bandwidth(s) * GHZ_PS
 
 
-def _sinc2(x):
-    # np.sinc is sin(pi x)/(pi x)
-    return np.sinc(x / np.pi) ** 2
+def _sinc2_line(nu, center, fwhm):
+    """Unit-peak sinc^2 of the given FWHM at the frequencies nu (np.sinc is sin(pi x)/(pi x))."""
+    return np.sinc(2.0 * SINC_HALF_X / fwhm * (nu - center) / np.pi) ** 2
 
 
 def apply_phase_matching(s: Spectrum, pm: PhaseMatching) -> Spectrum:
     """Pointwise product of the spectrum with the sinc^2 acceptance curve."""
-    k = 2.0 * SINC_HALF_X / pm.fwhm_ghz
-    factor = _sinc2(k * (s.nu_grid - pm.center_offset_ghz))
+    factor = _sinc2_line(s.nu_grid, pm.center_offset_ghz, pm.fwhm_ghz)
     return Spectrum(s.nu_grid, s.intensity * factor)
 
 
@@ -185,19 +182,17 @@ def sinc2_spectrum(center: float, fwhm: float, grid) -> Spectrum:
     if fwhm <= 0:
         raise SpectralError("sinc2_spectrum: fwhm must be positive")
     grid = np.asarray(grid, dtype=float)
-    k = 2.0 * SINC_HALF_X / fwhm
-    return Spectrum(grid, _sinc2(k * (grid - center)))
+    return Spectrum(grid, _sinc2_line(grid, center, fwhm))
 
 
 def gaussian_spectrum(fwhm: float, center: float = 0.0, grid=None,
-                      span_sigmas: float = 8.0, n_points: int = 2049) -> Spectrum:
+                      n_points: int = 2049) -> Spectrum:
     """Gaussian line of the given FWHM (GHz); default grid spans +-8 sigma."""
     if fwhm <= 0:
         raise SpectralError("gaussian_spectrum: fwhm must be positive")
     sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     if grid is None:
-        grid = np.linspace(center - span_sigmas * sigma,
-                           center + span_sigmas * sigma, n_points)
+        grid = np.linspace(center - 8.0 * sigma, center + 8.0 * sigma, n_points)
     grid = np.asarray(grid, dtype=float)
     return Spectrum(grid, np.exp(-0.5 * ((grid - center) / sigma) ** 2))
 

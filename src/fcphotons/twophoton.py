@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (CoherenceEnvelope, PhaseMatching, SpectralError, Spectrum,
-                       _check_uniform_grid, apply_phase_matching, coherence_envelope)
+                       _check_curve, apply_phase_matching, coherence_envelope)
 
 BELL_BOUND = 1.0 / np.sqrt(2.0)
 CLASSICAL_BOUND = 0.5
@@ -20,15 +20,7 @@ class PairCoherence:
     step: float = field(init=False)
 
     def __post_init__(self):
-        grid, step = _check_uniform_grid(self.dtau_grid, "PairCoherence.dtau_grid")
-        f = np.asarray(self.f_value, dtype=float)
-        if f.shape != grid.shape:
-            raise SpectralError("PairCoherence: value/grid length mismatch")
-        if np.any(f < 0) or np.any(f > 1 + 1e-9):
-            raise SpectralError("PairCoherence: F outside [0, 1]")
-        object.__setattr__(self, "dtau_grid", grid)
-        object.__setattr__(self, "f_value", f)
-        object.__setattr__(self, "step", step)
+        _check_curve(self, "dtau_grid", "f_value", 1 + 1e-9)
 
     def at(self, dtau: float) -> float:
         """F at an arbitrary imbalance, by linear interpolation."""

@@ -18,16 +18,30 @@ from fcphotons.spectral import (
     sinc2_spectrum,
     time_bandwidth_product,
 )
+from fcphotons.twophoton import PairCoherence
 from oracles import coherence_envelope_direct
 
 
 def test_spectrum_invariants():
-    with pytest.raises(SpectralError):
-        Spectrum(np.array([0.0, 1.0]), np.array([1.0, -0.1]))
-    with pytest.raises(SpectralError):
+    # beyond the checks every curve makes (test_curve_check): a spectrum has power
+    with pytest.raises(SpectralError, match="all-zero"):
         Spectrum(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    with pytest.raises(SpectralError):
-        Spectrum(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("curve", [Spectrum, CoherenceEnvelope, PairCoherence])
+@pytest.mark.parametrize("grid, values", [
+    ([0.0, 1.0, 2.0], [0.5, 0.5]),
+    ([0.0, 1.0, 2.0], [0.5, -0.1, 0.5]),
+    ([0.0, 1.0, 2.0], [0.5, 1.0 + 1e-6, 0.5]),
+    ([0.0, 1.0, 1.5], [0.5, 0.5, 0.5]),
+], ids=["length_mismatch", "negative", "above_one", "grid_not_uniform"])
+def test_curve_check(curve, grid, values):
+    if curve is Spectrum and max(values) > 1:
+        # a power density has no upper bound
+        assert curve(np.array(grid), np.array(values)).step == 1.0
+        return
+    with pytest.raises(SpectralError, match=curve.__name__):
+        curve(np.array(grid), np.array(values))
 
 
 def test_integral_bandwidth_rectangle_is_width():
