@@ -191,7 +191,7 @@ def _analyze_franson(args, out_dir) -> dict:
         raise CliError(f"{run_dir}: no summary.json from a franson simulate run")
     run = io.read_summary(summary_path)
     if not isinstance(run, dict) or run.get("kind") != "franson":
-        raise CliError(f"{run_dir}: not a franson run")
+        raise CliError(f"{summary_path}: not a franson run")
     gate = args.gate_ps or run.get("gate_ps")
     if isinstance(gate, bool) or not isinstance(gate, int) or gate <= 0:
         raise CliError(f"{summary_path}: gate_ps {gate!r} is not a positive integer of ps; "
@@ -199,8 +199,12 @@ def _analyze_franson(args, out_dir) -> dict:
     scan = run.get("scan")
     if not isinstance(scan, list) or not all(
             isinstance(e, dict) and {"phase_rad", "a", "b"} <= e.keys()
-            and isinstance(e["a"], str) and isinstance(e["b"], str) for e in scan):
-        raise CliError(f"{summary_path}: 'scan' must list phase_rad and file names a and b")
+            and isinstance(e["a"], str) and isinstance(e["b"], str)
+            # a finite JSON number: no bool, null, nan, inf or int beyond float range
+            and type(e["phase_rad"]) in (int, float) and abs(e["phase_rad"]) <= sys.float_info.max
+            for e in scan):
+        raise CliError(f"{summary_path}: 'scan' must list a finite number phase_rad "
+                       "and file names a and b")
     scans = []
     for entry in scan:
         a = io.read_ptag(os.path.join(run_dir, entry["a"]))
@@ -369,7 +373,8 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("fit", help="fit SBR points with the linear rate model")
-    p.add_argument("points", help="CSV of herald_rate_per_s,sbr[,sigma]")
+    p.add_argument("points", help="CSV of herald_rate_per_s,sbr[,sigma]; sigmas all "
+                                  "positive give a weighted fit, all zero an unweighted one")
     p.add_argument("--dt-s", type=float, required=True, dest="dt_s")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

@@ -43,9 +43,10 @@ def save_curve(path, x, y, names=("x", "y"), comment: str = "") -> None:
 def load_table(path) -> np.ndarray:
     """Numeric rows of a comma-separated text file as a 2-D float array.
 
-    Blank lines, '#' comments and rows that do not parse as numbers (a
-    column header) are skipped; every numeric row must have the same width,
-    and every value must be finite.
+    Blank lines, '#' comments and rows ahead of the first numeric row (a
+    column header) are skipped; a later row that does not parse as numbers is
+    an error.  Every numeric row must have the same width, and every value
+    must be finite.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -56,7 +57,9 @@ def load_table(path) -> np.ndarray:
             try:
                 rows.append([float(p) for p in line.split(",")])
             except ValueError:
-                continue  # header line
+                if rows:
+                    raise FileFormatError(f"{path}: non-numeric data row {line!r}") from None
+                # a header line
     if not rows:
         raise FileFormatError(f"{path}: no numeric rows")
     if len({len(r) for r in rows}) > 1:

@@ -117,10 +117,11 @@ def poisson_interval(n: int) -> tuple[float, float]:
 def fit_sbr(points, dt_s) -> SbrFitResult:
     """Weighted least squares of SBR data against 1/(dt*(a*R + b)).
 
-    points: sequence of (herald_rate, sbr, sigma) with sigma > 0, or sigma
-    omitted/zero for an unweighted fit.  The model is exactly linear in
-    (a, b) after inversion: 1/(sbr*dt) = a*R + b.  A negative unconstrained
-    b is clamped to zero and flagged.
+    points: sequence of (herald_rate, sbr[, sigma]).  Sigmas all > 0 give a
+    weighted fit, a missing or all-zero sigma column an unweighted one; any
+    other sigmas (one negative, or zero beside nonzero) are an error.  The
+    model is exactly linear in (a, b) after inversion: 1/(sbr*dt) = a*R + b.
+    A negative unconstrained b is clamped to zero and flagged.
     """
     if not (math.isfinite(dt_s) and dt_s > 0):
         raise ModelError(f"fit_sbr: dt must be positive and finite, got {dt_s}")
@@ -134,13 +135,10 @@ def fit_sbr(points, dt_s) -> SbrFitResult:
     if np.ptp(r) == 0:
         raise ModelError("fit_sbr: all herald rates equal, design is rank deficient")
     y = 1.0 / (sbr * dt_s)
-    if pts.shape[1] > 2 and np.all(pts[:, 2] > 0):
-        sigma_y = pts[:, 2] / (sbr**2 * dt_s)
-        w = 1.0 / sigma_y**2
-        absolute = True
-    else:
-        w = np.ones_like(y)
-        absolute = False
+    absolute = pts.shape[1] > 2 and np.any(pts[:, 2] != 0)
+    if absolute and not np.all(pts[:, 2] > 0):
+        raise ModelError("fit_sbr: sigmas must be all positive, or all zero for an unweighted fit")
+    w = 1.0 / (pts[:, 2] / (sbr**2 * dt_s))**2 if absolute else np.ones_like(y)
 
     def solve(design):
         gram = design.T @ (design * w[:, None])

@@ -347,6 +347,11 @@ def test_simulate_and_analyze_franson(tmp_path):
 SCAN_ENTRY = {"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}
 
 
+def scan_with_phase(phase):
+    """Eight scan entries over one 2 pi fringe, the fourth at the given phase."""
+    return [{**SCAN_ENTRY, "phase_rad": phase if k == 3 else k * np.pi / 4} for k in range(8)]
+
+
 @pytest.mark.parametrize("summary", [
     {"kind": "franson"},
     {"kind": "franson", "gate_ps": 512},
@@ -359,8 +364,12 @@ SCAN_ENTRY = {"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}
     {"kind": "franson", "gate_ps": True, "scan": [SCAN_ENTRY]},
     {"kind": "franson", "gate_ps": 512.0, "scan": [SCAN_ENTRY]},
     {"kind": "franson", "gate_ps": 512, "scan": [{**SCAN_ENTRY, "a": 0}]},
+    {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(True)},
+    {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(None)},
+    {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(float("inf"))},
 ], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "no_gate", "not_object",
-        "gate_string", "gate_negative", "gate_bool", "gate_float", "file_not_string"])
+        "gate_string", "gate_negative", "gate_bool", "gate_float", "file_not_string",
+        "phase_bool", "phase_null", "phase_inf"])
 def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
     # empty tag files stand by, so only the summary's own defects can fail the run
     for name in ("x.ptag", "y.ptag"):
@@ -368,7 +377,8 @@ def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
     io.write_summary(tmp_path / "summary.json", summary)
     rc = main(["analyze", str(tmp_path), "--mode", "franson", "--out", str(tmp_path / "ana")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "summary.json" in err
     assert not (tmp_path / "ana" / "analysis.json").exists()
 
 
@@ -420,7 +430,9 @@ def test_cli_fit(tmp_path):
     (None, "0", "dt must be positive and finite"),
     (None, "nan", "dt must be positive and finite"),
     (None, "inf", "dt must be positive and finite"),
-], ids=["sbr_nan", "sbr_inf", "rate_nan", "dt_negative", "dt_zero", "dt_nan", "dt_inf"])
+    ("2e5,x", "1.5e-9", "non-numeric data row"),
+], ids=["sbr_nan", "sbr_inf", "rate_nan", "dt_negative", "dt_zero", "dt_nan", "dt_inf",
+        "data_row_not_numeric"])
 def test_cli_fit_rejects_nonfinite_and_nonpositive(tmp_path, capsys, row, dt, error):
     path = tmp_path / "points.csv"
     write_sbr_points(path, 1.5e-9)

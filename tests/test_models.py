@@ -140,6 +140,10 @@ def test_fit_sbr_errors():
         fit_sbr([(1e5, -3.0), (2e5, 2.0)], 1.5e-9)
     with pytest.raises(ModelError):
         fit_sbr([(1e5,), (2e5,)], 1.5e-9)  # a rate column without SBR values
+    # sigmas are all positive (weighted) or all zero (unweighted), never mixed
+    for bad_sigma in (-3.0, 0.0):
+        with pytest.raises(ModelError, match="sigma"):
+            fit_sbr([(1e5, 3.0, 0.1), (2e5, 2.0, bad_sigma), (3e5, 1.5, 0.1)], 1.5e-9)
 
 
 def test_rate_model_params_validation():
