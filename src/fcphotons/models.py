@@ -117,10 +117,11 @@ def poisson_interval(n: int) -> tuple[float, float]:
 def fit_sbr(points, dt_s) -> SbrFitResult:
     """Weighted least squares of SBR data against 1/(dt*(a*R + b)).
 
-    points: sequence of (herald_rate, sbr[, sigma]).  Sigmas all > 0 give a
-    weighted fit, a missing or all-zero sigma column an unweighted one; any
-    other sigmas (one negative, or zero beside nonzero) are an error.  The
-    model is exactly linear in (a, b) after inversion: 1/(sbr*dt) = a*R + b.
+    points: sequence of (herald_rate, sbr[, sigma]), no wider, with rates >= 0
+    and SBR values > 0.  Sigmas all > 0 give a weighted fit, a missing or
+    all-zero sigma column an unweighted one; any other sigmas (one negative,
+    or zero beside nonzero) are an error.  The model is exactly linear in
+    (a, b) after inversion: 1/(sbr*dt) = a*R + b.
     A negative unconstrained b is clamped to zero and flagged.
     """
     if not (math.isfinite(dt_s) and dt_s > 0):
@@ -128,8 +129,12 @@ def fit_sbr(points, dt_s) -> SbrFitResult:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 2:
         raise ModelError("fit_sbr: need at least 2 (rate, sbr) points")
+    if pts.shape[1] > 3:
+        raise ModelError(f"fit_sbr: {pts.shape[1]} columns; a point is (rate, sbr[, sigma])")
     r = pts[:, 0]
     sbr = pts[:, 1]
+    if np.any(r < 0):
+        raise ModelError("fit_sbr: herald rates must be nonnegative")
     if np.any(sbr <= 0):
         raise ModelError("fit_sbr: SBR values must be positive")
     if np.ptp(r) == 0:

@@ -101,8 +101,13 @@ def load_scenario(path) -> Scenario:
     section, is an error.
     """
     path = _resolve(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path, encoding="utf-8"):
+    # no key interpolates, so a % in a value is literal
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:  # a repeated section or key, a key before any section
+        raise ScenarioError(f"{path}: malformed scenario file: {exc}") from exc
+    if not found:
         raise ScenarioError(f"{path}: cannot read scenario file")
     read_keys = set()
 

@@ -215,8 +215,9 @@ class Detector:
     close returns the rest.  Jitter draws one Gaussian per tag in stream
     order, so the draws do not depend on where the blocks end.  The jittered
     tags are held back until the next block's smallest jittered tag is known,
-    and only those below it go out.  Dead time carries the last kept tag
-    across the seams.
+    and only those below it go out, as a slice of the held block: no tags
+    given out share a buffer with the tags still held.  Dead time carries the
+    last kept tag across the seams.
     """
 
     def __init__(self, model: DetectorModel, duration_ps: int, seed):
@@ -236,12 +237,12 @@ class Detector:
         if self._floor is not None and jittered[0] < self._floor:
             raise SimError("Detector: a jittered tag lands before one already given out; "
                            "the jitter exceeds a whole block")
-        merged = _merge(self._held, jittered)
-        cut = int(np.searchsorted(merged, jittered[0]))
-        self._held = merged[cut:]
+        held = self._held  # only the tags from cut on can be overtaken by the new block
+        cut = int(np.searchsorted(held, jittered[0]))
+        self._held = _merge(held[cut:], jittered)
         if cut:
-            self._floor = merged[cut - 1]
-        return self._dead_time(merged[:cut], owned=True)
+            self._floor = held[cut - 1]
+        return self._dead_time(held[:cut], owned=True)
 
     def close(self) -> np.ndarray:
         held, self._held = self._held, self._held[:0]

@@ -139,6 +139,11 @@ def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,
     background-subtracted sum of the central bins inside the window.  With
     signal_window equal to the bin width this is the per-bin convention
     signal / background.
+
+    sigma propagates Gaussian errors of the counts, and under-covers below
+    about one background count per bin: of 16000 draws of 201 bins at SBR
+    10-20, 0.660 fell inside +-1 sigma at 0.2 background counts per bin,
+    against 0.676 at 1 and 100 counts and a nominal 0.683.
     """
     delays = h.delays_ps
     if not (delays[-1] > background_exclusion_ps > signal_window_ps / 2):
@@ -276,7 +281,9 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     large-count approximation; it collapses when the m = 0 count h0 is 0 or 1.
     g2_zero_interval is the central 68.27 % exact (Garwood) Poisson interval
     on h0 divided by the plateau.  It neglects the plateau's own error, which
-    is small beside h0's because the plateau averages 82 bins.
+    is small beside h0's because the plateau averages 82 bins: on 1 s of the
+    bundled g2_chain, about 0.5 % against about 47 % for h0 at its expected
+    4.6 counts.
 
     The heralds go through a HeraldedG2Counter in the blocks of simkit._blocks.
     """

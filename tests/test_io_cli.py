@@ -560,14 +560,24 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     (MINIMAL_FRANSON.replace("gate_ps = 512\n", ""), "missing key analysis.gate_ps"),
     (MINIMAL_FRANSON.replace("gaussian_fwhm_ghz = 173", "file = nan_line.csv"),
      "nan_line.csv: non-finite value"),
+    (MINIMAL_SCENARIO + "[run]\nseed = 3\n", "section 'run' already exists"),
+    (MINIMAL_SCENARIO.replace("kind = g2_chain\n", "kind = g2_chain\nkind = franson\n"),
+     "option 'kind' in section 'run' already exists"),
+    ("seed = 3\n" + MINIMAL_SCENARIO, "File contains no section headers"),
+    (MINIMAL_SCENARIO + "[detector_herald]\njitter_sigma_ps = 5%\n",
+     "bad value for detector_herald.jitter_sigma_ps: '5%'"),
+    (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nname = g2-%(x)s\n"), None),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
         "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
         "int_key_fractional", "int_key_integral_float", "g2_chain_with_franson",
         "g2_chain_with_analysis", "franson_with_qfc", "spectrum_both", "spectrum_neither",
-        "missing_phase_points", "missing_pm_fwhm", "missing_gate", "spectrum_nan"])
+        "missing_phase_points", "missing_pm_fwhm", "missing_gate", "spectrum_nan",
+        "section_twice", "key_twice", "key_before_section", "lone_percent",
+        "percent_in_name"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
-    if scenario.startswith("["):
+    name = "g2-%(x)s" if "name = " in scenario else "scenario.ini"
+    if "\n" in scenario:  # the file's text, not a bundled name
         path = tmp_path / "scenario.ini"
         path.write_text(scenario)
         scenario = str(path)
@@ -585,6 +595,7 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
         assert loaded == load_scenario(scenario_path(f"{scenario}.ini"))
         return
     assert loaded.seed == 0
+    assert loaded.name == name
     assert loaded.detector_herald == loaded.detector_signal == DetectorModel()
     if loaded.kind == "g2_chain":
         assert loaded.source == SourceParams(pair_rate_per_s=1e6)

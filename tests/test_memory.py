@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fcphotons import io, tagcorr
+from fcphotons import io, simkit, tagcorr
 from fcphotons.cli import main
 from fcphotons.simkit import (
+    Detector,
     DetectorModel,
     SourceParams,
     TagStream,
@@ -27,6 +28,7 @@ MB = 2**20
 G2_CHAIN = SourceParams(2e6, q2=0.3, eta1=0.5, eta2=0.6 * 0.08, dark2_per_s=2300 + 1000)
 # perfbench's dense_sbr source at 1 s, without the converter: 1e6 heralds, 1.6e6 signal tags
 DENSE_SBR = SourceParams(2e6, q2=0.3, eta1=0.5, eta2=0.6, dark2_per_s=2300)
+DENSE_SBR_HERALD = DetectorModel(254.8, 50_000)  # perfbench's dense_sbr herald detector
 
 
 def traced_peak(fn, *args):
@@ -88,9 +90,41 @@ def test_apply_detector_with_jitter_and_dead_time_holds_input_plus_2_mb():
     # the dense_sbr herald detector on 1e6 tags: the output plus block scratch only
     tags = np.sort(np.random.default_rng(3).integers(0, SEC, 10**6, dtype=np.int64))
     stream = TagStream(0, tags, SEC)
-    out, peak = traced_peak(apply_detector, stream, DetectorModel(254.8, 50_000), 4)
+    out, peak = traced_peak(apply_detector, stream, DENSE_SBR_HERALD, 4)
     assert 0.9 * tags.size < out.tags.size < tags.size
     assert peak <= tags.nbytes + 2 * MB
+
+
+def detector_blocks(n):
+    """n blocks of simkit._BLOCK sorted tags about 1 us apart, and a duration past them."""
+    tags = np.cumsum(np.random.default_rng(3).integers(1, 2 * 10**6, n * simkit._BLOCK))
+    return list(simkit._blocks(tags)), int(tags[-1]) + 10**6
+
+
+def test_detector_outputs_hold_their_own_bytes():
+    # each block given out is a slice of the held block, not of a merge with the next
+    blocks, duration = detector_blocks(8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        det = Detector(DENSE_SBR_HERALD, duration, 5)
+        outs = [det.feed(block) for block in blocks] + [det.close()]
+        del det
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert sum(out.size for out in outs) > 0.95 * 8 * simkit._BLOCK  # the dead time takes 2.5 %
+    assert held <= 1.1 * sum(out.nbytes for out in outs)
+
+
+def test_detector_steady_state_feed_holds_under_3_blocks():
+    blocks, duration = detector_blocks(6)
+    det = Detector(DENSE_SBR_HERALD, duration, 5)
+    for block in blocks[:4]:
+        det.feed(block)
+    out, peak = traced_peak(det.feed, blocks[4])
+    assert out.size > 0.9 * blocks[4].size
+    assert peak < 3 * blocks[4].nbytes
 
 
 @pytest.fixture(scope="module")

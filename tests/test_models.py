@@ -140,6 +140,11 @@ def test_fit_sbr_errors():
         fit_sbr([(1e5, -3.0), (2e5, 2.0)], 1.5e-9)
     with pytest.raises(ModelError):
         fit_sbr([(1e5,), (2e5,)], 1.5e-9)  # a rate column without SBR values
+    with pytest.raises(ModelError, match="columns"):
+        fit_sbr([(1e5, 3.0, 0.1, 7.0), (2e5, 2.0, 0.1, 7.0)], 1.5e-9)
+    with pytest.raises(ModelError, match="rates must be nonnegative"):
+        fit_sbr([(-1e5, 283.93), (2e5, 220.31), (3e5, 179.99)], 1.5e-9)
+    assert fit_sbr([(0.0, 399.2), (2e5, 220.31), (4e5, 152.14)], 1.5e-9).a > 0  # a rate of 0
     # sigmas are all positive (weighted) or all zero (unweighted), never mixed
     for bad_sigma in (-3.0, 0.0):
         with pytest.raises(ModelError, match="sigma"):

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcphotons import io, simkit
 from fcphotons.cli import main
@@ -198,6 +202,46 @@ def test_detector_empty_pieces():
     empty = tags[:0]
     out = [det.feed(empty), det.feed(tags[:400]), det.feed(empty), det.feed(tags[400:]),
            det.feed(empty), det.close(), det.close()]
+    assert np.array_equal(np.concatenate(out), expected)
+
+
+@st.composite
+def detector_partitions(draw):
+    """Sorted tags with ties and gaps at dead - 1, dead and dead + 1, their partition
+    into pieces (empty ones included), a small _BLOCK, a detector model and a seed."""
+    dead = draw(st.integers(1, 20))
+    n = draw(st.integers(0, 150))
+    gaps = draw(st.lists(st.sampled_from([0, 1, dead - 1, dead, dead + 1, 4 * dead]),
+                         min_size=n, max_size=n))
+    tags = draw(st.integers(0, 2 * dead)) + np.cumsum(np.array(gaps, dtype=np.int64))
+    cuts = sorted(draw(st.lists(st.integers(0, tags.size), max_size=12)))
+    jitter = draw(st.sampled_from([0.0, 0.4, 3.0, 30.0]))
+    return (tags, cuts, draw(st.sampled_from([1, 2, 3, 7, 64])),
+            DetectorModel(jitter, dead), draw(st.integers(0, 2**16)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(detector_partitions())
+def test_detector_any_partition_equals_whole_stream(case):
+    tags, cuts, block, model, seed = case
+    duration = int(tags[-1]) if tags.size else 0  # the jitter is clipped at both ends
+    shifts = np.rint(np.random.default_rng(seed).standard_normal(tags.size)
+                     * model.jitter_sigma_ps).astype(np.int64)
+    jittered = np.clip(tags + shifts, 0, duration)
+    expected = dead_time_loop(np.sort(jittered), model.dead_time_ps) if tags.size else tags
+    with mock.patch.object(simkit, "_BLOCK", block):
+        whole = apply_detector(TagStream(0, tags, duration), model, seed).tags
+        assert np.array_equal(whole, expected)
+        det = Detector(model, duration, seed)
+        try:
+            out = [det.feed(piece) for piece in np.split(tags, cuts)] + [det.close()]
+        except SimError as exc:
+            # only where a jittered tag lands below one of an earlier piece
+            assert "whole block" in str(exc)
+            pieces = [p for p in np.split(jittered, cuts) if p.size]
+            tops = np.maximum.accumulate([p.max() for p in pieces])
+            assert any(p.min() < top for p, top in zip(pieces[1:], tops))
+            return
     assert np.array_equal(np.concatenate(out), expected)
 
 

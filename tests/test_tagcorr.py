@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fcphotons import simkit
-from fcphotons.models import RateModelParams, ab_from_physics, g2_from_sbr, sbr_model
+from fcphotons.models import (
+    RATE_MODEL_PRESETS,
+    RateModelParams,
+    ab_from_physics,
+    fit_sbr,
+    g2_from_sbr,
+    sbr_model,
+)
 from fcphotons.simkit import (
     DetectorModel,
     FransonMcConfig,
@@ -122,6 +129,25 @@ def test_extract_sbr_duration_invariance():
         results.append(extract_sbr(h, 1500, 15000))
     assert abs(results[0].sbr - results[1].sbr) < 3 * np.hypot(results[0].sigma,
                                                                results[1].sigma)
+
+
+def test_fig5_rate_sweep_from_tags_fits_run_a():
+    # a source whose rate model is the paper's run_a: a = (1 + q2) / eta1, b = W2 / eta2
+    run_a = RATE_MODEL_PRESETS["run_a"]
+    eta1, eta2, q2 = 1.3 / 6.78, 0.048, 0.3
+    w2 = run_a.b * eta2
+    assert ab_from_physics(0.0, q2, eta1, eta2, w2) == pytest.approx((run_a.a, run_a.b))
+    rng = np.random.default_rng(1)
+    points = []
+    for rate in np.linspace(5e4, 4e5, 8):  # herald rates, 1 s each
+        p = SourceParams(rate / eta1, q2=q2, eta1=eta1, eta2=eta2, dark2_per_s=w2)
+        herald, signal = generate_pair_streams(p, SEC, rng)
+        res = extract_sbr(cross_correlate(herald, signal, 1500, 150_000), 1500, 15_000)
+        points.append((herald.rate_per_s, res.sbr, res.sigma))
+    fit = fit_sbr(points, run_a.dt_s)
+    assert not fit.b_at_boundary
+    assert abs(fit.a - run_a.a) < 3 * math.sqrt(fit.covariance[0, 0])
+    assert abs(fit.b - run_a.b) < 3 * math.sqrt(fit.covariance[1, 1])
 
 
 def perfect_heralded_streams(n=20000, seed=40):
