@@ -53,8 +53,7 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
     hbt_parts = ([], [])
     with io.PtagWriter(os.path.join(out_dir, files["herald"]), 0, duration) as herald_out:
         for herald, signal in simkit.pair_blocks(source, duration, source_rng):
-            hbt = simkit.hbt_split(simkit.TagStream(1, signal, duration), split_rng,
-                                   channels=(1, 2))
+            hbt = simkit.hbt_split(simkit.TagStream(1, signal, duration), split_rng)
             herald_out.append(herald_det.feed(herald))
             for parts, det, stream in zip(hbt_parts, hbt_dets, hbt):
                 parts.append(det.feed(stream.tags))
@@ -360,7 +359,7 @@ def build_parser():
     p.add_argument("tags", nargs="+",
                    help="tag files (g2: herald hbt1 hbt2; sbr: two files; "
                         "franson: simulate output dir)")
-    p.add_argument("--mode", choices=("g2", "sbr", "franson"), default="g2")
+    p.add_argument("--mode", choices=ANALYZE_MODES, default="g2")
     p.add_argument("--out", required=True)
     # 0 for --bin-ps / --gate-ps means the window width / the run's gate
     p.add_argument("--bin-ps", type=_positive_int, default=0, dest="bin_ps")

@@ -27,6 +27,14 @@ class FransonScanSettings:
     phase_points: int
     pairs_per_point: int
 
+    def __post_init__(self):
+        if self.delay_ps <= 0:
+            raise ValueError("delay_ps must be positive")
+        if not (0 <= self.v_mi <= 1 and 0 <= self.v_mzi <= 1):
+            raise ValueError("v_mi and v_mzi must lie in [0, 1]")
+        if self.phase_points < 0 or self.pairs_per_point < 0:
+            raise ValueError("phase_points and pairs_per_point must be nonnegative")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -136,12 +144,14 @@ def load_scenario(path) -> Scenario:
     if kind not in ("g2_chain", "franson"):
         raise ScenarioError(f"{path}: unknown run.kind {kind!r}")
     duration_ps = get("run", "duration_ps", _to_int)
-    if duration_ps < 0:
-        raise ScenarioError(f"{path}: run.duration_ps must be nonnegative")
+    seed = get("run", "seed", _to_int, 0)
+    for key, value in (("duration_ps", duration_ps), ("seed", seed)):
+        if value < 0:
+            raise ScenarioError(f"{path}: run.{key} must be nonnegative")
     common = dict(
         name=get("run", "name", str, os.path.basename(path)),
         kind=kind,
-        seed=get("run", "seed", lambda v: int(v, 0), 0),
+        seed=seed,
         duration_ps=duration_ps,
         detector_herald=build(DetectorModel, "detector_herald"),
         detector_signal=build(DetectorModel, "detector_signal"),

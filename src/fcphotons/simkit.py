@@ -199,9 +199,6 @@ def pair_blocks(p: SourceParams, duration_ps: int, seed):
         raise SimError("duration must be nonnegative")
     busiest = max(singles_rate(p.pair_rate_per_s, p.eta1, p.q1, p.dark1_per_s),
                   singles_rate(p.pair_rate_per_s, p.eta2, p.q2, p.dark2_per_s))
-    if busiest * duration_ps * 1e-12 > MAX_EXPECTED_COUNTS:
-        raise SimError(f"expected count {busiest * duration_ps * 1e-12:.3g} exceeds 2^31; "
-                       "shorten the run")
     span = max(int(_BLOCK / busiest * 1e12), 1) if busiest > 0 else max(duration_ps, 1)
     rng = _rng(seed)
     for start in range(0, duration_ps, span):
@@ -307,13 +304,11 @@ def apply_detector(s: TagStream, d: DetectorModel, seed) -> TagStream:
     return TagStream(s.channel, _merge(det.feed(s.tags), det.close()), s.duration_ps)
 
 
-def hbt_split(s: TagStream, seed, channels=None) -> tuple[TagStream, TagStream]:
-    """Route each tag to one of two outputs with probability 1/2."""
-    rng = _rng(seed)
-    ch1, ch2 = channels if channels is not None else (s.channel, s.channel)
-    mask = _marks(rng, 0.5, s.tags.size)
-    return (TagStream(ch1, s.tags[mask], s.duration_ps),
-            TagStream(ch2, s.tags[~mask], s.duration_ps))
+def hbt_split(s: TagStream, seed) -> tuple[TagStream, TagStream]:
+    """Route each tag to channel 1 or channel 2 with probability 1/2."""
+    mask = _marks(_rng(seed), 0.5, s.tags.size)
+    return (TagStream(1, s.tags[mask], s.duration_ps),
+            TagStream(2, s.tags[~mask], s.duration_ps))
 
 
 def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, TagStream]:

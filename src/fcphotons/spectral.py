@@ -106,18 +106,6 @@ def _chirp(half_theta: float, m: np.ndarray) -> np.ndarray:
     return np.exp(1j * (head * m2)) * np.exp(1j * ((half_theta - head) * m2))
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: a length numpy.fft transforms quickly."""
-    while True:
-        m = n
-        for p in (2, 3, 5, 7, 11):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def coherence_envelope(s: Spectrum, tau_max: float, n_points: int) -> CoherenceEnvelope:
     """|g1(tau)| from the power spectrum: chirp-z (Bluestein) on the uniform grids.
 
@@ -142,7 +130,7 @@ def coherence_envelope(s: Spectrum, tau_max: float, n_points: int) -> CoherenceE
     j_mid, k_mid = (n_points - 1) // 2, (n_nu - 1) // 2
     x = s.intensity * np.conj(_chirp(half_theta, np.arange(n_nu) - k_mid))
     # lags j - k from -(n_nu - 1) to n_points - 1, negative ones wrapped to the end
-    size = _fast_len(n_nu + n_points - 1)
+    size = 1 << (n_nu + n_points - 2).bit_length()  # a power of two >= n_nu + n_points - 1
     lag = np.arange(size)
     lag = np.where(lag < n_points, lag, lag - size)
     h = _chirp(half_theta, lag - (j_mid - k_mid))

@@ -42,6 +42,10 @@ class CorrelationHistogram:
 
 @dataclass(frozen=True)
 class HeraldedG2Result:
+    """heralded_g2's histogram and g2(0).  sigma is the large-count error and means
+    nothing at a small m = 0 count h0: at h0 = 1 it is g2_zero itself, to within
+    the plateau's error.  g2_zero_interval is exact at any h0."""
+
     m_values: np.ndarray
     histogram: np.ndarray
     g2_zero: float

@@ -69,7 +69,9 @@ def separation_histogram_loop(f1: np.ndarray, f2: np.ndarray, max_separation: in
     m_values = np.arange(-max_separation, max_separation + 1)
     hist = np.empty(m_values.size, dtype=np.int64)
     for j, m in enumerate(m_values):
-        if m >= 0:
+        if abs(m) >= n:  # no herald pair that far apart
+            hist[j] = 0
+        elif m >= 0:
             hist[j] = np.count_nonzero(f1[: n - m] & f2[m:])
         else:
             hist[j] = np.count_nonzero(f1[-m:] & f2[: n + m])

@@ -137,8 +137,7 @@ def test_08_g2_endpoints():
     tags = np.arange(1, 20001, dtype=np.int64) * 10**6
     duration = int(tags[-1] + 10**6)
     herald = simkit.TagStream(0, tags, duration)
-    hbt1, hbt2 = simkit.hbt_split(simkit.TagStream(1, tags.copy(), duration), 10,
-                                  channels=(1, 2))
+    hbt1, hbt2 = simkit.hbt_split(simkit.TagStream(1, tags.copy(), duration), 10)
     perfect = tagcorr.heralded_g2(herald, hbt1, hbt2, window_ps=1500)
     ok = perfect.g2_zero == 0.0
 
@@ -153,7 +152,7 @@ def test_08_g2_endpoints():
     p = simkit.SourceParams(2e6, q2=110.111, eta1=0.3, eta2=0.2)
     rng = np.random.default_rng(12)
     h, s = simkit.generate_pair_streams(p, SEC // 10, rng)
-    b1, b2 = simkit.hbt_split(s, rng, channels=(1, 2))
+    b1, b2 = simkit.hbt_split(s, rng)
     res = tagcorr.heralded_g2(h, b1, b2, window_ps=1500)
     hist = tagcorr.cross_correlate(h, b1, 1500, 150000)
     sbr = tagcorr.extract_sbr(hist, 1500, 15000)

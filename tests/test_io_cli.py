@@ -567,6 +567,16 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
     (MINIMAL_SCENARIO + "[detector_herald]\njitter_sigma_ps = 5%\n",
      "bad value for detector_herald.jitter_sigma_ps: '5%'"),
     (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nname = g2-%(x)s\n"), None),
+    (MINIMAL_FRANSON.replace("delay_ps = 1140", "delay_ps = 0"),
+     "[franson] delay_ps must be positive"),
+    (MINIMAL_FRANSON.replace("v_mi = 0.88\nv_mzi = 0.95", "v_mi = 1.5\nv_mzi = 0.6"),
+     "[franson] v_mi and v_mzi must lie in [0, 1]"),
+    (MINIMAL_FRANSON.replace("phase_points = 12", "phase_points = -3"),
+     "[franson] phase_points and pairs_per_point must be nonnegative"),
+    (MINIMAL_FRANSON.replace("pairs_per_point = 5000", "pairs_per_point = -5"),
+     "[franson] phase_points and pairs_per_point must be nonnegative"),
+    (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nseed = -1\n"), "run.seed must be nonnegative"),
+    (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nseed = 1e3\n"), None),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
         "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
@@ -574,9 +584,11 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
         "g2_chain_with_analysis", "franson_with_qfc", "spectrum_both", "spectrum_neither",
         "missing_phase_points", "missing_pm_fwhm", "missing_gate", "spectrum_nan",
         "section_twice", "key_twice", "key_before_section", "lone_percent",
-        "percent_in_name"])
+        "percent_in_name", "delay_zero", "v_mi_above_one", "phase_points_negative",
+        "pairs_per_point_negative", "seed_negative", "seed_float_form"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     name = "g2-%(x)s" if "name = " in scenario else "scenario.ini"
+    seed = 1000 if "seed = 1e3" in scenario else 0
     if "\n" in scenario:  # the file's text, not a bundled name
         path = tmp_path / "scenario.ini"
         path.write_text(scenario)
@@ -594,7 +606,7 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
     if scenario in ("g2_chain", "franson"):
         assert loaded == load_scenario(scenario_path(f"{scenario}.ini"))
         return
-    assert loaded.seed == 0
+    assert loaded.seed == seed
     assert loaded.name == name
     assert loaded.detector_herald == loaded.detector_signal == DetectorModel()
     if loaded.kind == "g2_chain":

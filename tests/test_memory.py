@@ -45,7 +45,7 @@ def traced_peak(fn, *args):
 @pytest.fixture(scope="module")
 def g2_chain_streams():
     herald, signal = generate_pair_streams(G2_CHAIN, SEC, seed=11)
-    return (herald, *hbt_split(signal, seed=12, channels=(1, 2)))
+    return (herald, *hbt_split(signal, seed=12))
 
 
 def test_generate_pair_streams_holds_output_plus_2_mb():

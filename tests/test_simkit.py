@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fcphotons import io, simkit
 from fcphotons.cli import main
+from fcphotons.scenario import load_scenario
 from fcphotons.simkit import (
     Detector,
     DetectorModel,
@@ -89,8 +91,19 @@ def test_true_coincidence_rate():
 
 
 def test_overflow_guard():
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match="exceeds 2\\^31"):
         generate_pair_streams(SourceParams(1e13), SEC, seed=0)
+
+
+def test_pair_blocks_has_no_whole_run_cap():
+    # the bundled converted source expects 2.2e9 heralds in 2,200 s, above 2^31
+    sc = load_scenario("g2_chain")
+    source = dataclasses.replace(
+        sc.source, eta2=sc.source.eta2 * sc.qfc_efficiency,
+        dark2_per_s=sc.source.dark2_per_s + sc.qfc_background_per_s)
+    herald, signal = next(simkit.pair_blocks(source, 2200 * SEC, seed=0))
+    assert abs(herald.size - simkit._BLOCK) < 5 * np.sqrt(simkit._BLOCK)
+    assert 0 < signal.size < herald.size
 
 
 def test_apply_detector_identity():
@@ -250,6 +263,7 @@ def test_hbt_split():
     tags = np.sort(np.random.default_rng(10).integers(0, SEC, n, dtype=np.int64))
     s = TagStream(0, tags, SEC)
     out1, out2 = hbt_split(s, seed=11)
+    assert (out1.channel, out2.channel) == (1, 2)
     assert abs(out1.tags.size - n / 2) < 4 * np.sqrt(n / 4)
     union = np.sort(np.concatenate([out1.tags, out2.tags]))
     assert np.array_equal(union, tags)
@@ -269,7 +283,7 @@ def test_blocked_marks_keep_the_one_shot_draws():
     assert np.array_equal(herald.tags, herald_ref.tags)
     assert np.array_equal(signal.tags, signal_ref.tags)
     assert rng.bit_generator.state == ref.bit_generator.state
-    split = hbt_split(signal, rng, channels=(1, 2))
+    split = hbt_split(signal, rng)
     split_ref = hbt_split_oneshot(signal_ref, ref, channels=(1, 2))
     for out, out_ref in zip(split, split_ref):
         assert out.channel == out_ref.channel
@@ -343,7 +357,7 @@ def test_simulate_in_time_blocks_detects_like_whole_streams(tmp_path, block, mon
     assert len(blocks) > 20
     herald, signal = (TagStream(k, np.concatenate([b[k] for b in blocks]), duration)
                       for k in (0, 1))
-    streams = (herald, *hbt_split(signal, split_rng, channels=(1, 2)))
+    streams = (herald, *hbt_split(signal, split_rng))
     models = (DetectorModel(254.8, 50_000), DetectorModel(15, 50_000), DetectorModel(15, 50_000))
     summary = io.read_summary(out / "summary.json")
     for label, stream, model, rng in zip(("herald", "hbt1", "hbt2"), streams, models, rngs):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fcphotons import spectral
 from fcphotons.spectral import (
     CoherenceEnvelope,
     EnvelopeTailWarning,
@@ -122,12 +121,6 @@ def test_coherence_envelope_equals_direct_sum(s, n_points):
         direct = coherence_envelope_direct(s, tau_max, n_points)
         assert np.array_equal(env.tau_grid, direct.tau_grid)
         assert np.max(np.abs(env.magnitude - direct.magnitude)) <= 1e-12
-
-
-def test_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len
-    assert [spectral._fast_len(n) for n in range(1, 20001)] == [
-        next_fast_len(n) for n in range(1, 20001)]
 
 
 def test_coherence_envelope_preconditions():

@@ -154,7 +154,7 @@ def perfect_heralded_streams(n=20000, seed=40):
     tags = np.arange(1, n + 1, dtype=np.int64) * 10**6
     duration = int(tags[-1] + 10**6)
     herald = TagStream(0, tags, duration)
-    hbt1, hbt2 = hbt_split(TagStream(1, tags.copy(), duration), seed, channels=(1, 2))
+    hbt1, hbt2 = hbt_split(TagStream(1, tags.copy(), duration), seed)
     return herald, hbt1, hbt2
 
 
@@ -183,7 +183,7 @@ def test_heralded_g2_sbr3_matches_eq5():
     p = SourceParams(2e6, q1=0.0, q2=110.111, eta1=0.3, eta2=0.2)
     rng = np.random.default_rng(53)
     herald, signal = generate_pair_streams(p, SEC // 10, rng)
-    hbt1, hbt2 = hbt_split(signal, rng, channels=(1, 2))
+    hbt1, hbt2 = hbt_split(signal, rng)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=1500)
     h = cross_correlate(herald, hbt1, 1500, 150000)
     sbr = extract_sbr(h, 1500, 15000)
