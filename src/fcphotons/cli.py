@@ -18,24 +18,10 @@ class CliError(ValueError):
     pass
 
 
-def _write_parts(path, channel, parts, duration_ps) -> int:
-    """Write the tag blocks in parts as one stream and empty parts; returns the tag count.
-
-    The whole stream lives only in this call, so it is gone before the next one's.
-    """
-    tags = np.concatenate(parts)
-    parts.clear()
-    io.write_ptag(path, simkit.TagStream(channel, tags, duration_ps))
-    return int(tags.size)
-
-
 def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
-    """Source, beamsplitter and detectors one time block at a time.
+    """simkit.g2_chain_blocks of the scenario, the converter folded into its source.
 
-    Each stage draws from its own generator spawned from the seed, so a
-    detector fed block by block draws what apply_detector draws on the whole
-    stream.  The herald tags go to their file as they come; the HBT streams
-    are written whole at the end.
+    The herald tags go to their file as they come, the HBT streams whole at the end.
     """
     source = scenario.source
     if scenario.qfc_efficiency is not None:
@@ -44,26 +30,22 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
             source, eta2=source.eta2 * scenario.qfc_efficiency,
             dark2_per_s=source.dark2_per_s + scenario.qfc_background_per_s)
     duration = scenario.duration_ps
-    source_rng, split_rng, *detector_rngs = np.random.default_rng(seed).spawn(5)
-    herald_det, *hbt_dets = (
-        simkit.Detector(model, duration, rng) for model, rng in zip(
-            (scenario.detector_herald, scenario.detector_signal, scenario.detector_signal),
-            detector_rngs))
     files = {label: f"{label}.ptag" for label in ("herald", "hbt1", "hbt2")}
     hbt_parts = ([], [])
     with io.PtagWriter(os.path.join(out_dir, files["herald"]), 0, duration) as herald_out:
-        for herald, signal in simkit.pair_blocks(source, duration, source_rng):
-            hbt = simkit.hbt_split(simkit.TagStream(1, signal, duration), split_rng)
-            herald_out.append(herald_det.feed(herald))
-            for parts, det, stream in zip(hbt_parts, hbt_dets, hbt):
-                parts.append(det.feed(stream.tags))
-        herald_out.append(herald_det.close())
+        for herald, *hbt in simkit.g2_chain_blocks(source, scenario.detector_herald,
+                                                   scenario.detector_signal, duration, seed):
+            herald_out.append(herald)
+            for parts, block in zip(hbt_parts, hbt):
+                parts.append(block)
     counts = {"herald": herald_out.count}
-    for channel, (label, parts, det) in enumerate(zip(("hbt1", "hbt2"), hbt_parts, hbt_dets),
-                                                  start=1):
-        parts.append(det.close())
-        counts[label] = _write_parts(os.path.join(out_dir, files[label]), channel, parts,
-                                     duration)
+    for channel, (label, parts) in enumerate(zip(("hbt1", "hbt2"), hbt_parts), start=1):
+        tags = np.concatenate(parts)
+        parts.clear()
+        io.write_ptag(os.path.join(out_dir, files[label]),
+                      simkit.TagStream(channel, tags, duration))
+        counts[label] = tags.size
+        del tags  # one whole HBT stream in memory at a time
     summary = {
         "kind": "g2_chain",
         "name": scenario.name,
@@ -148,7 +130,7 @@ def _save_sbr(correlator, args, out_dir) -> tagcorr.SbrResult:
     Callers run their other estimators first, so an AnalysisError leaves no CSV.
     """
     hist = correlator.histogram()
-    sbr = tagcorr.extract_sbr(hist, _bin_ps(args), args.background_exclusion_ps)
+    sbr = tagcorr.extract_sbr(hist, args.background_exclusion_ps)
     io.save_curve(os.path.join(out_dir, "correlation.csv"),
                   hist.delays_ps, hist.bins, ("delay_ps", "counts"))
     return sbr
@@ -337,6 +319,12 @@ def cmd_reproduce(args):
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) == 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer of ps, got {text!r}")
@@ -352,7 +340,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="run a scenario and write PTAG tag files")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="analyze tag files (g2, sbr or franson)")

@@ -157,7 +157,7 @@ def _marks(rng, p, n):
 
 
 def _pair_tags(rng, p: SourceParams, start_ps: int, stop_ps: int):
-    """Herald and signal tags of the pair source in [start, stop); see generate_pair_streams."""
+    """Herald and signal tags of the pair source in [start, stop); see pair_blocks."""
     rate = p.pair_rate_per_s
     heralded = _poisson_times(rng, rate * p.eta1, start_ps, stop_ps)
     both = heralded[_marks(rng, p.eta2, heralded.size)]
@@ -169,8 +169,12 @@ def _pair_tags(rng, p: SourceParams, start_ps: int, stop_ps: int):
     return _merge(heralded, bg1, dark1), _merge(both, signal_only, bg2, dark2)
 
 
-def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagStream, TagStream]:
-    """Herald and signal tag streams for the pair source model.
+def pair_blocks(p: SourceParams, duration_ps: int, seed):
+    """Herald and signal tags of the pair source model, in time blocks.
+
+    Yields the herald and signal tags of each block in turn; a block spans
+    about _BLOCK tags of the busier stream.  Poisson processes on disjoint
+    intervals are independent, so each block is drawn on its own.
 
     Pairs are a Poisson process at the pair rate; each pair survives to a
     herald tag with probability eta1 and to a signal tag with probability
@@ -180,20 +184,6 @@ def generate_pair_streams(p: SourceParams, duration_ps: int, seed) -> tuple[TagS
     transmittance at rates q*P*eta so the analytic singles formulas hold
     exactly; dark counts come at the detector rates.  A converter in the
     signal arm is a factor on eta2 plus a background on dark2_per_s.
-    """
-    if duration_ps < 0:
-        raise SimError("duration must be nonnegative")
-    herald, signal = _pair_tags(_rng(seed), p, 0, duration_ps)
-    return TagStream(0, herald, duration_ps), TagStream(1, signal, duration_ps)
-
-
-def pair_blocks(p: SourceParams, duration_ps: int, seed):
-    """generate_pair_streams in time blocks of about _BLOCK tags of the busier stream.
-
-    Yields the herald and signal tags of each block in turn.  Poisson
-    processes on disjoint intervals are independent, so each block is drawn
-    on its own: the same model as one generate_pair_streams call, not the
-    same draws.
     """
     if duration_ps < 0:
         raise SimError("duration must be nonnegative")
@@ -304,11 +294,28 @@ def apply_detector(s: TagStream, d: DetectorModel, seed) -> TagStream:
     return TagStream(s.channel, _merge(det.feed(s.tags), det.close()), s.duration_ps)
 
 
-def hbt_split(s: TagStream, seed) -> tuple[TagStream, TagStream]:
-    """Route each tag to channel 1 or channel 2 with probability 1/2."""
-    mask = _marks(_rng(seed), 0.5, s.tags.size)
-    return (TagStream(1, s.tags[mask], s.duration_ps),
-            TagStream(2, s.tags[~mask], s.duration_ps))
+def hbt_split(tags: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Route each tag to the first or the second output with probability 1/2."""
+    mask = _marks(_rng(seed), 0.5, tags.size)
+    return tags[mask], tags[~mask]
+
+
+def g2_chain_blocks(source: SourceParams, herald_model: DetectorModel,
+                    signal_model: DetectorModel, duration_ps: int, seed):
+    """The heralded-g2 chain: pair_blocks, hbt_split of the signal and three Detectors.
+
+    Yields the final (herald, hbt1, hbt2) tags of each time block, then the
+    tags the detectors still held.  Each stage draws from its own generator
+    spawned from the seed, so a detector fed block by block draws what
+    apply_detector draws on the whole stream.
+    """
+    source_rng, split_rng, *detector_rngs = np.random.default_rng(seed).spawn(5)
+    detectors = [Detector(model, duration_ps, rng) for model, rng in zip(
+        (herald_model, signal_model, signal_model), detector_rngs)]
+    for herald, signal in pair_blocks(source, duration_ps, source_rng):
+        streams = (herald, *hbt_split(signal, split_rng))
+        yield tuple(det.feed(tags) for det, tags in zip(detectors, streams))
+    yield tuple(det.close() for det in detectors)
 
 
 def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, TagStream]:

@@ -135,14 +135,11 @@ def cross_correlate(a: TagStream, b: TagStream, bin_width_ps: int,
     return correlator.histogram()
 
 
-def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,
-                background_exclusion_ps: int) -> SbrResult:
-    """Signal-to-background ratio of a coincidence histogram.
+def extract_sbr(h: CorrelationHistogram, background_exclusion_ps: int) -> SbrResult:
+    """Per-bin signal-to-background ratio of a coincidence histogram.
 
     Background is the mean of bins beyond the exclusion delay; signal is the
-    background-subtracted sum of the central bins inside the window.  With
-    signal_window equal to the bin width this is the per-bin convention
-    signal / background.
+    central bin less that background.
 
     sigma propagates Gaussian errors of the counts, and under-covers below
     about one background count per bin: of 16000 draws of 201 bins at SBR
@@ -150,21 +147,18 @@ def extract_sbr(h: CorrelationHistogram, signal_window_ps: int,
     against 0.676 at 1 and 100 counts and a nominal 0.683.
     """
     delays = h.delays_ps
-    if not (delays[-1] > background_exclusion_ps > signal_window_ps / 2):
-        raise AnalysisError("extract_sbr: need delay_range > exclusion > window/2")
-    bg_mask = np.abs(delays) > background_exclusion_ps
-    sig_mask = np.abs(delays) <= signal_window_ps / 2
-    bg_counts = h.bins[bg_mask]
+    if not (delays[-1] > background_exclusion_ps > h.bin_width_ps / 2):
+        raise AnalysisError("extract_sbr: need delay_range > exclusion > bin/2")
+    bg_counts = h.bins[np.abs(delays) > background_exclusion_ps]
     background = bg_counts.mean()
     if background <= 0:
         raise AnalysisError("extract_sbr: zero background, ratio undefined")
-    n_sig = int(sig_mask.sum())
-    central = float(h.bins[sig_mask].sum())
-    signal = central - background * n_sig
+    central = float(h.bins[h.bins.size // 2])
+    signal = central - background
     sbr = signal / background
     # Poisson errors: central counts, plus the background-mean uncertainty
     var_bg = background / bg_counts.size
-    var_signal = central + n_sig**2 * var_bg
+    var_signal = central + var_bg
     sigma = abs(sbr) * np.sqrt(
         var_signal / signal**2 + var_bg / background**2) if signal != 0 else np.sqrt(
         var_signal) / background

@@ -21,25 +21,24 @@ def cross_correlate_bruteforce(a: TagStream, b: TagStream, bin_width_ps: int,
     return CorrelationHistogram(bin_width_ps, bins)
 
 
-def generate_pair_streams_oneshot(p: SourceParams, duration_ps: int, rng):
-    """generate_pair_streams with the eta2 marks drawn in one rng.random(n) call."""
+def pair_tags_oneshot(p: SourceParams, start_ps: int, stop_ps: int, rng):
+    """simkit._pair_tags with the eta2 marks drawn in one rng.random(n) call."""
     rate = p.pair_rate_per_s
-    heralded = _poisson_times(rng, rate * p.eta1, 0, duration_ps)
+    heralded = _poisson_times(rng, rate * p.eta1, start_ps, stop_ps)
     both = heralded[rng.random(heralded.size) < p.eta2]
-    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, 0, duration_ps)
-    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, 0, duration_ps)
-    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, 0, duration_ps)
-    dark1 = _poisson_times(rng, p.dark1_per_s, 0, duration_ps)
-    dark2 = _poisson_times(rng, p.dark2_per_s, 0, duration_ps)
-    return (TagStream(0, np.sort(np.concatenate([heralded, bg1, dark1])), duration_ps),
-            TagStream(1, np.sort(np.concatenate([both, signal_only, bg2, dark2])), duration_ps))
+    signal_only = _poisson_times(rng, rate * (1.0 - p.eta1) * p.eta2, start_ps, stop_ps)
+    bg1 = _poisson_times(rng, p.q1 * rate * p.eta1, start_ps, stop_ps)
+    bg2 = _poisson_times(rng, p.q2 * rate * p.eta2, start_ps, stop_ps)
+    dark1 = _poisson_times(rng, p.dark1_per_s, start_ps, stop_ps)
+    dark2 = _poisson_times(rng, p.dark2_per_s, start_ps, stop_ps)
+    return (np.sort(np.concatenate([heralded, bg1, dark1])),
+            np.sort(np.concatenate([both, signal_only, bg2, dark2])))
 
 
-def hbt_split_oneshot(s: TagStream, rng, channels) -> tuple[TagStream, TagStream]:
+def hbt_split_oneshot(tags: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """hbt_split with the split marks drawn in one rng.random(n) call."""
-    mask = rng.random(s.tags.size) < 0.5
-    return (TagStream(channels[0], s.tags[mask], s.duration_ps),
-            TagStream(channels[1], s.tags[~mask], s.duration_ps))
+    mask = rng.random(tags.size) < 0.5
+    return tags[mask], tags[~mask]
 
 
 def window_flags_mask(herald: np.ndarray, stream: TagStream, half_window: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 from fcphotons import models, simkit, spectral, tagcorr, twophoton
 from oracles import cross_correlate_bruteforce
+from streams import chain_streams, pair_streams
 
 SEC = 10**12
 
@@ -119,10 +120,9 @@ def test_07_sbr_pipeline_equivalence():
     ok = True
     details = []
     for seed, bin_ps in ((1, 10**6), (2, 10**5), (3, 10**4)):
-        rng = np.random.default_rng(seed)
-        herald, signal = simkit.generate_pair_streams(p, SEC // 20, rng)
+        herald, signal = pair_streams(p, SEC // 20, seed)
         hist = tagcorr.cross_correlate(herald, signal, bin_ps, 40 * bin_ps)
-        res = tagcorr.extract_sbr(hist, bin_ps, 5 * bin_ps)
+        res = tagcorr.extract_sbr(hist, 5 * bin_ps)
         a, b = models.ab_from_physics(p.q1, p.q2, p.eta1, p.eta2, p.dark2_per_s)
         predicted = models.sbr_model(
             herald.rate_per_s, models.RateModelParams(a, b, bin_ps * 1e-12))
@@ -137,7 +137,8 @@ def test_08_g2_endpoints():
     tags = np.arange(1, 20001, dtype=np.int64) * 10**6
     duration = int(tags[-1] + 10**6)
     herald = simkit.TagStream(0, tags, duration)
-    hbt1, hbt2 = simkit.hbt_split(simkit.TagStream(1, tags.copy(), duration), 10)
+    hbt1, hbt2 = (simkit.TagStream(k, t, duration)
+                  for k, t in enumerate(simkit.hbt_split(tags, 10), start=1))
     perfect = tagcorr.heralded_g2(herald, hbt1, hbt2, window_ps=1500)
     ok = perfect.g2_zero == 0.0
 
@@ -150,12 +151,10 @@ def test_08_g2_endpoints():
 
     # full chain at SBR ~ 3 against the SBR -> g2 model
     p = simkit.SourceParams(2e6, q2=110.111, eta1=0.3, eta2=0.2)
-    rng = np.random.default_rng(12)
-    h, s = simkit.generate_pair_streams(p, SEC // 10, rng)
-    b1, b2 = simkit.hbt_split(s, rng)
+    h, b1, b2 = chain_streams(p, SEC // 10, 12)
     res = tagcorr.heralded_g2(h, b1, b2, window_ps=1500)
     hist = tagcorr.cross_correlate(h, b1, 1500, 150000)
-    sbr = tagcorr.extract_sbr(hist, 1500, 15000)
+    sbr = tagcorr.extract_sbr(hist, 15000)
     predicted = models.g2_from_sbr(sbr.sbr)
     ok = ok and abs(res.g2_zero - predicted) < 3 * res.sigma
     report(f"8 (g2 endpoints: 0 exact, {unc.g2_zero:.3f}~1, "
@@ -191,7 +190,7 @@ def test_10_fit_round_trip():
         bins = rng.poisson(bg_per_bin, 101).astype(np.int64)
         bins[50] = rng.poisson(bg_per_bin + true_counts)
         hist = tagcorr.CorrelationHistogram(1500, bins)
-        sbr = tagcorr.extract_sbr(hist, 1500, 15000)
+        sbr = tagcorr.extract_sbr(hist, 15000)
         points.append((s1, sbr.sbr, sbr.sigma))
     noisy = models.fit_sbr(points, dt)
     a_true, b_true = models.ab_from_physics(q1, q2, eta1, eta2, w2)

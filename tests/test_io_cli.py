@@ -326,6 +326,15 @@ def test_analyze_rejects_nonpositive_width(tmp_path, flag, value):
         assert exc.value.code == 2
 
 
+def test_simulate_rejects_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "neg"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "g2_chain", "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_and_analyze_franson(tmp_path):
     out = tmp_path / "franson"
     assert main(["simulate", "--scenario", scenario_path("franson.ini"),

@@ -18,9 +18,8 @@ from fcphotons.simkit import (
     SourceParams,
     TagStream,
     apply_detector,
-    generate_pair_streams,
-    hbt_split,
 )
+from streams import chain_streams
 
 SEC = 10**12  # ps
 MB = 2**20
@@ -44,14 +43,16 @@ def traced_peak(fn, *args):
 
 @pytest.fixture(scope="module")
 def g2_chain_streams():
-    herald, signal = generate_pair_streams(G2_CHAIN, SEC, seed=11)
-    return (herald, *hbt_split(signal, seed=12))
+    return chain_streams(G2_CHAIN, SEC, seed=11)
 
 
-def test_generate_pair_streams_holds_output_plus_2_mb():
-    (herald, signal), peak = traced_peak(generate_pair_streams, G2_CHAIN, SEC, 11)
-    assert herald.tags.size > 990_000
-    assert peak <= herald.tags.nbytes + signal.tags.nbytes + 2 * MB
+def test_g2_chain_blocks_holds_output_plus_2_mb():
+    def kept_blocks():
+        return list(simkit.g2_chain_blocks(G2_CHAIN, DetectorModel(), DetectorModel(), SEC, 11))
+
+    blocks, peak = traced_peak(kept_blocks)
+    assert sum(b[0].size for b in blocks) > 990_000
+    assert peak <= sum(tags.nbytes for b in blocks for tags in b) + 2 * MB
 
 
 def test_write_ptag_holds_under_1_mb(tmp_path, g2_chain_streams):
@@ -78,8 +79,7 @@ def test_heralded_g2_holds_under_a_quarter_of_the_heralds(g2_chain_streams):
 
 def test_cross_correlate_dense_holds_under_half_the_heralds():
     # each herald block reaches about 5e4 hbt1 tags, all walked in one pass
-    herald, signal = generate_pair_streams(DENSE_SBR, SEC, seed=11)
-    hbt1 = hbt_split(signal, seed=12)[0]
+    herald, hbt1, _ = chain_streams(DENSE_SBR, SEC, seed=11)
     assert herald.tags.size > 990_000 and hbt1.tags.size > 750_000
     hist, peak = traced_peak(tagcorr.cross_correlate, herald, hbt1, 150, 150_000)
     assert hist.bins.size == 2001 and hist.bins.sum() > 0

@@ -18,13 +18,13 @@ from fcphotons.simkit import (
     TagStream,
     apply_detector,
     franson_sample,
-    generate_pair_streams,
     hbt_split,
 )
 from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import gated_coincidences
 from fcphotons.twophoton import PairCoherence, pair_coherence
-from oracles import dead_time_loop, generate_pair_streams_oneshot, hbt_split_oneshot
+from oracles import dead_time_loop, hbt_split_oneshot, pair_tags_oneshot
+from streams import pair_streams
 
 SEC = 10**12  # ps
 
@@ -44,24 +44,24 @@ def test_tagstream_validation():
 def test_determinism_bitwise():
     p = SourceParams(1e5, q1=0.2, q2=0.4, eta1=0.7, eta2=0.5,
                      dark1_per_s=50, dark2_per_s=80)
-    h1, s1 = generate_pair_streams(p, SEC // 10, seed=123)
-    h2, s2 = generate_pair_streams(p, SEC // 10, seed=123)
+    h1, s1 = pair_streams(p, SEC // 10, seed=123)
+    h2, s2 = pair_streams(p, SEC // 10, seed=123)
     assert np.array_equal(h1.tags, h2.tags)
     assert np.array_equal(s1.tags, s2.tags)
-    h3, _ = generate_pair_streams(p, SEC // 10, seed=124)
+    h3, _ = pair_streams(p, SEC // 10, seed=124)
     assert not np.array_equal(h1.tags, h3.tags)
 
 
 def test_lossless_source_identical_streams():
     p = SourceParams(1e6)
-    herald, signal = generate_pair_streams(p, SEC, seed=1)
+    herald, signal = pair_streams(p, SEC, seed=1)
     assert np.array_equal(herald.tags, signal.tags)
     assert abs(herald.tags.size - 1e6) < 4 * np.sqrt(1e6)
 
 
 def test_blocked_signal_arm():
     p = SourceParams(1e6, eta2=0.0, q2=0.5, dark2_per_s=200.0)
-    _, signal = generate_pair_streams(p, SEC, seed=2)
+    _, signal = pair_streams(p, SEC, seed=2)
     # background scales with eta2, so only dark counts remain
     assert abs(signal.tags.size - 200) < 4 * np.sqrt(200) + 10
 
@@ -69,7 +69,7 @@ def test_blocked_signal_arm():
 def test_singles_rate_formula():
     p = SourceParams(1e6, q1=0.5, q2=0.2, eta1=0.4, eta2=0.6,
                      dark1_per_s=300, dark2_per_s=1000)
-    herald, signal = generate_pair_streams(p, SEC, seed=3)
+    herald, signal = pair_streams(p, SEC, seed=3)
     s1 = 0.4 * 1e6 * 1.5 + 300
     s2 = 0.6 * 1e6 * 1.2 + 1000
     assert abs(herald.tags.size - s1) < 4 * np.sqrt(s1)
@@ -77,22 +77,23 @@ def test_singles_rate_formula():
 
 
 def test_rate_linearity():
-    n1 = generate_pair_streams(SourceParams(2e5, eta1=0.5), SEC, seed=4)[0].tags.size
-    n2 = generate_pair_streams(SourceParams(4e5, eta1=0.5), SEC, seed=5)[0].tags.size
+    n1 = pair_streams(SourceParams(2e5, eta1=0.5), SEC, seed=4)[0].tags.size
+    n2 = pair_streams(SourceParams(4e5, eta1=0.5), SEC, seed=5)[0].tags.size
     assert abs(n2 - 2 * n1) < 4 * np.sqrt(n2 + 4 * n1)
 
 
 def test_true_coincidence_rate():
     p = SourceParams(1e6, eta1=0.4, eta2=0.3)
-    herald, signal = generate_pair_streams(p, SEC, seed=6)
+    herald, signal = pair_streams(p, SEC, seed=6)
     expected = 1e6 * 0.4 * 0.3
     n = gated_coincidences(herald, signal, gate_ps=3)
     assert abs(n - expected) < 4 * np.sqrt(expected)
 
 
 def test_overflow_guard():
+    # a time block spans at least 1 ps, so only a rate above 2^31 per ps overflows one
     with pytest.raises(SimError, match="exceeds 2\\^31"):
-        generate_pair_streams(SourceParams(1e13), SEC, seed=0)
+        next(simkit.pair_blocks(SourceParams(1e22), SEC, seed=0))
 
 
 def test_pair_blocks_has_no_whole_run_cap():
@@ -261,15 +262,12 @@ def test_detector_any_partition_equals_whole_stream(case):
 def test_hbt_split():
     n = 100000
     tags = np.sort(np.random.default_rng(10).integers(0, SEC, n, dtype=np.int64))
-    s = TagStream(0, tags, SEC)
-    out1, out2 = hbt_split(s, seed=11)
-    assert (out1.channel, out2.channel) == (1, 2)
-    assert abs(out1.tags.size - n / 2) < 4 * np.sqrt(n / 4)
-    union = np.sort(np.concatenate([out1.tags, out2.tags]))
+    out1, out2 = hbt_split(tags, seed=11)
+    assert abs(out1.size - n / 2) < 4 * np.sqrt(n / 4)
+    union = np.sort(np.concatenate([out1, out2]))
     assert np.array_equal(union, tags)
-    single = TagStream(0, np.array([42], dtype=np.int64), 100)
-    o1, o2 = hbt_split(single, seed=12)
-    assert o1.tags.size + o2.tags.size == 1
+    o1, o2 = hbt_split(np.array([42], dtype=np.int64), seed=12)
+    assert o1.size + o2.size == 1
 
 
 def test_blocked_marks_keep_the_one_shot_draws():
@@ -277,17 +275,16 @@ def test_blocked_marks_keep_the_one_shot_draws():
     p = SourceParams(2e6, q1=0.1, q2=0.3, eta1=0.5, eta2=0.9, dark1_per_s=500,
                      dark2_per_s=2300)
     rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-    herald, signal = generate_pair_streams(p, SEC // 5, rng)
-    herald_ref, signal_ref = generate_pair_streams_oneshot(p, SEC // 5, ref)
-    assert signal.tags.size > 2 * simkit._BLOCK
-    assert np.array_equal(herald.tags, herald_ref.tags)
-    assert np.array_equal(signal.tags, signal_ref.tags)
+    herald, signal = simkit._pair_tags(rng, p, 0, SEC // 5)  # one time block of the source
+    herald_ref, signal_ref = pair_tags_oneshot(p, 0, SEC // 5, ref)
+    assert signal.size > 2 * simkit._BLOCK
+    assert np.array_equal(herald, herald_ref)
+    assert np.array_equal(signal, signal_ref)
     assert rng.bit_generator.state == ref.bit_generator.state
     split = hbt_split(signal, rng)
-    split_ref = hbt_split_oneshot(signal_ref, ref, channels=(1, 2))
+    split_ref = hbt_split_oneshot(signal_ref, ref)
     for out, out_ref in zip(split, split_ref):
-        assert out.channel == out_ref.channel
-        assert np.array_equal(out.tags, out_ref.tags)
+        assert np.array_equal(out, out_ref)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -340,33 +337,48 @@ DETECTED = ("[run]\nkind = g2_chain\nduration_ps = 200000000\n"
             "[detector_signal]\njitter_sigma_ps = 15\ndead_time_ps = 50000\n")
 
 
-@pytest.mark.parametrize("block", [1, 3, 7])
-def test_simulate_in_time_blocks_detects_like_whole_streams(tmp_path, block, monkeypatch):
+DETECTED_SOURCE = SourceParams(2e6, q1=0.1, q2=0.3, eta1=0.5, eta2=0.6, dark1_per_s=500,
+                               dark2_per_s=2300)
+HERALD_MODEL, SIGNAL_MODEL = DetectorModel(254.8, 50_000), DetectorModel(15, 50_000)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_g2_chain_blocks_detect_like_whole_streams(block, seed):
     # time blocks of a few tags each: jitter and dead time cross every seam
-    monkeypatch.setattr(simkit, "_BLOCK", block)
+    duration = 200_000_000
+    with mock.patch.object(simkit, "_BLOCK", block):
+        chain = list(simkit.g2_chain_blocks(DETECTED_SOURCE, HERALD_MODEL, SIGNAL_MODEL,
+                                            duration, seed))
+        # the same stages on whole streams, each from its own spawned generator
+        source_rng, split_rng, *rngs = np.random.default_rng(seed).spawn(5)
+        blocks = list(simkit.pair_blocks(DETECTED_SOURCE, duration, source_rng))
+        herald, signal = (np.concatenate([b[k] for b in blocks]) for k in (0, 1))
+        models = (HERALD_MODEL, SIGNAL_MODEL, SIGNAL_MODEL)
+        for k, (tags, model, rng) in enumerate(zip((herald, *hbt_split(signal, split_rng)),
+                                                   models, rngs)):
+            expected = apply_detector(TagStream(k, tags, duration), model, rng).tags
+            assert np.array_equal(np.concatenate([c[k] for c in chain]), expected), k
+    assert len(chain) > 2
+
+
+def test_simulate_writes_the_g2_chain_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(simkit, "_BLOCK", 7)  # many time blocks
     sc = tmp_path / "detected.ini"
     sc.write_text(DETECTED)
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", str(sc), "--out", str(out), "--seed", "4"]) == 0
-    # the same stages on whole streams, each from its own spawned generator
-    p = SourceParams(2e6, q1=0.1, q2=0.3, eta1=0.5, eta2=0.6, dark1_per_s=500,
-                     dark2_per_s=2300)
-    duration = 200_000_000
-    source_rng, split_rng, *rngs = np.random.default_rng(4).spawn(5)
-    blocks = list(simkit.pair_blocks(p, duration, source_rng))
-    assert len(blocks) > 20
-    herald, signal = (TagStream(k, np.concatenate([b[k] for b in blocks]), duration)
-                      for k in (0, 1))
-    streams = (herald, *hbt_split(signal, split_rng))
-    models = (DetectorModel(254.8, 50_000), DetectorModel(15, 50_000), DetectorModel(15, 50_000))
+    chain, undetected = (list(simkit.g2_chain_blocks(DETECTED_SOURCE, *models, 200_000_000, 4))
+                         for models in ((HERALD_MODEL, SIGNAL_MODEL), (DetectorModel(),) * 2))
+    assert len(chain) > 20
     summary = io.read_summary(out / "summary.json")
-    for label, stream, model, rng in zip(("herald", "hbt1", "hbt2"), streams, models, rngs):
-        expected = apply_detector(stream, model, rng)
+    for k, label in enumerate(("herald", "hbt1", "hbt2")):
+        expected = np.concatenate([c[k] for c in chain])
         back = io.read_ptag(out / f"{label}.ptag")
-        assert back.channel == expected.channel
-        assert np.array_equal(back.tags, expected.tags), label
-        assert summary["counts"][label] == expected.tags.size
-        assert expected.tags.size < stream.tags.size  # the dead time removed some
+        assert back.channel == k
+        assert np.array_equal(back.tags, expected), label
+        assert summary["counts"][label] == expected.size
+        assert expected.size < sum(c[k].size for c in undetected)  # the dead time removed some
 
 
 def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,

@@ -18,7 +18,6 @@ from fcphotons.simkit import (
     SourceParams,
     TagStream,
     franson_sample,
-    generate_pair_streams,
     hbt_split,
 )
 from fcphotons.spectral import coherence_envelope, gaussian_spectrum
@@ -34,6 +33,7 @@ from fcphotons.tagcorr import (
 )
 from fcphotons.twophoton import pair_coherence
 from oracles import cross_correlate_bruteforce, separation_histogram_loop, window_flags_mask
+from streams import chain_streams, pair_streams
 
 SEC = 10**12
 
@@ -91,7 +91,7 @@ def test_extract_sbr_arithmetic():
     bins = np.full(101, 100, dtype=np.int64)
     bins[50] = 400
     h = CorrelationHistogram(1500, bins)
-    res = extract_sbr(h, signal_window_ps=1500, background_exclusion_ps=15000)
+    res = extract_sbr(h, background_exclusion_ps=15000)
     assert res.signal == pytest.approx(300.0)
     assert res.sbr == pytest.approx(3.0)
 
@@ -101,18 +101,16 @@ def test_extract_sbr_errors():
     bins[50] = 10
     h = CorrelationHistogram(1500, bins)
     with pytest.raises(AnalysisError):
-        extract_sbr(h, 1500, 15000)  # zero background
+        extract_sbr(h, 15000)  # zero background
     with pytest.raises(AnalysisError):
-        extract_sbr(h, 1500, 200000)  # exclusion beyond range
+        extract_sbr(h, 200000)  # exclusion beyond range
 
 
 def test_extract_sbr_matches_rate_model():
     p = SourceParams(2e6, q1=0.0, q2=110.111, eta1=0.3, eta2=0.2)
-    rng = np.random.default_rng(21)
-    herald, signal = generate_pair_streams(p, SEC // 20, rng)
-    hbt1, _ = hbt_split(signal, rng)
+    herald, hbt1, _ = chain_streams(p, SEC // 20, 21)
     h = cross_correlate(herald, hbt1, 1500, 150000)
-    res = extract_sbr(h, 1500, 15000)
+    res = extract_sbr(h, 15000)
     a, b = ab_from_physics(p.q1, p.q2, p.eta1, p.eta2, 0.0)
     predicted = sbr_model(herald.rate_per_s, RateModelParams(a, b, 1.5e-9))
     assert abs(res.sbr - predicted) < 3 * res.sigma
@@ -122,11 +120,9 @@ def test_extract_sbr_duration_invariance():
     p = SourceParams(2e6, q1=0.0, q2=40.0, eta1=0.3, eta2=0.2)
     results = []
     for seed, dur in ((30, SEC // 20), (31, SEC // 10)):
-        rng = np.random.default_rng(seed)
-        herald, signal = generate_pair_streams(p, dur, rng)
-        hbt1, _ = hbt_split(signal, rng)
+        herald, hbt1, _ = chain_streams(p, dur, seed)
         h = cross_correlate(herald, hbt1, 1500, 150000)
-        results.append(extract_sbr(h, 1500, 15000))
+        results.append(extract_sbr(h, 15000))
     assert abs(results[0].sbr - results[1].sbr) < 3 * np.hypot(results[0].sigma,
                                                                results[1].sigma)
 
@@ -141,8 +137,8 @@ def test_fig5_rate_sweep_from_tags_fits_run_a():
     points = []
     for rate in np.linspace(5e4, 4e5, 8):  # herald rates, 1 s each
         p = SourceParams(rate / eta1, q2=q2, eta1=eta1, eta2=eta2, dark2_per_s=w2)
-        herald, signal = generate_pair_streams(p, SEC, rng)
-        res = extract_sbr(cross_correlate(herald, signal, 1500, 150_000), 1500, 15_000)
+        herald, signal = pair_streams(p, SEC, rng)
+        res = extract_sbr(cross_correlate(herald, signal, 1500, 150_000), 15_000)
         points.append((herald.rate_per_s, res.sbr, res.sigma))
     fit = fit_sbr(points, run_a.dt_s)
     assert not fit.b_at_boundary
@@ -154,8 +150,8 @@ def perfect_heralded_streams(n=20000, seed=40):
     tags = np.arange(1, n + 1, dtype=np.int64) * 10**6
     duration = int(tags[-1] + 10**6)
     herald = TagStream(0, tags, duration)
-    hbt1, hbt2 = hbt_split(TagStream(1, tags.copy(), duration), seed)
-    return herald, hbt1, hbt2
+    hbt1, hbt2 = hbt_split(tags, seed)
+    return herald, TagStream(1, hbt1, duration), TagStream(2, hbt2, duration)
 
 
 def test_heralded_g2_perfect_singles_is_zero():
@@ -181,12 +177,10 @@ def test_heralded_g2_uncorrelated_is_one():
 
 def test_heralded_g2_sbr3_matches_eq5():
     p = SourceParams(2e6, q1=0.0, q2=110.111, eta1=0.3, eta2=0.2)
-    rng = np.random.default_rng(53)
-    herald, signal = generate_pair_streams(p, SEC // 10, rng)
-    hbt1, hbt2 = hbt_split(signal, rng)
+    herald, hbt1, hbt2 = chain_streams(p, SEC // 10, 53)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=1500)
     h = cross_correlate(herald, hbt1, 1500, 150000)
-    sbr = extract_sbr(h, 1500, 15000)
+    sbr = extract_sbr(h, 15000)
     assert 2.5 < sbr.sbr < 3.5
     assert abs(res.g2_zero - g2_from_sbr(sbr.sbr)) < 3 * res.sigma
 
