@@ -362,23 +362,31 @@ def test_g2_chain_blocks_detect_like_whole_streams(block, seed):
     assert len(chain) > 2
 
 
-def test_simulate_writes_the_g2_chain_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(simkit, "_BLOCK", 7)  # many time blocks
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_simulate_in_time_blocks_detects_like_whole_streams(tmp_path, block, monkeypatch):
+    # time blocks of a few tags each: jitter and dead time cross every seam
+    monkeypatch.setattr(simkit, "_BLOCK", block)
     sc = tmp_path / "detected.ini"
     sc.write_text(DETECTED)
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", str(sc), "--out", str(out), "--seed", "4"]) == 0
-    chain, undetected = (list(simkit.g2_chain_blocks(DETECTED_SOURCE, *models, 200_000_000, 4))
-                         for models in ((HERALD_MODEL, SIGNAL_MODEL), (DetectorModel(),) * 2))
-    assert len(chain) > 20
+    # the same stages on whole streams, each from its own spawned generator
+    duration = 200_000_000
+    source_rng, split_rng, *rngs = np.random.default_rng(4).spawn(5)
+    blocks = list(simkit.pair_blocks(DETECTED_SOURCE, duration, source_rng))
+    assert len(blocks) > 20
+    herald, signal = (np.concatenate([b[k] for b in blocks]) for k in (0, 1))
+    streams = (herald, *hbt_split(signal, split_rng))
+    models = (HERALD_MODEL, SIGNAL_MODEL, SIGNAL_MODEL)
     summary = io.read_summary(out / "summary.json")
-    for k, label in enumerate(("herald", "hbt1", "hbt2")):
-        expected = np.concatenate([c[k] for c in chain])
+    for k, (label, tags, model, rng) in enumerate(zip(("herald", "hbt1", "hbt2"), streams,
+                                                      models, rngs)):
+        expected = apply_detector(TagStream(k, tags, duration), model, rng).tags
         back = io.read_ptag(out / f"{label}.ptag")
         assert back.channel == k
         assert np.array_equal(back.tags, expected), label
         assert summary["counts"][label] == expected.size
-        assert expected.size < sum(c[k].size for c in undetected)  # the dead time removed some
+        assert expected.size < tags.size  # the dead time removed some
 
 
 def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,
