@@ -148,8 +148,10 @@ def _analyze_g2(args, out_dir) -> dict:
     return {
         "status": "ok",
         "g2_zero": res.g2_zero,
-        "sigma": res.sigma,
         "g2_zero_interval": list(res.g2_zero_interval),
+        # the m = 0 count and the plateau the interval is computed from
+        "h0": int(res.histogram[res.m_values == 0][0]),
+        "plateau": res.plateau,
         "sbr": sbr.sbr,
         "sbr_sigma": sbr.sigma,
         "g2_from_sbr": models.g2_from_sbr(max(sbr.sbr, 0.0)),
@@ -174,9 +176,9 @@ def _analyze_franson(args, out_dir) -> dict:
     if not isinstance(run, dict) or run.get("kind") != "franson":
         raise CliError(f"{summary_path}: not a franson run")
     gate = args.gate_ps or run.get("gate_ps")
-    if isinstance(gate, bool) or not isinstance(gate, int) or gate <= 0:
-        raise CliError(f"{summary_path}: gate_ps {gate!r} is not a positive integer of ps; "
-                       "give --gate-ps")
+    if isinstance(gate, bool) or not isinstance(gate, int) or not 0 < gate < 2**63:
+        raise CliError(f"{summary_path}: gate_ps {gate!r} is not a positive integer of ps "
+                       "below 2^63; give --gate-ps")
     scan = run.get("scan")
     if not isinstance(scan, list) or not all(
             isinstance(e, dict) and {"phase_rad", "a", "b"} <= e.keys()
@@ -190,8 +192,7 @@ def _analyze_franson(args, out_dir) -> dict:
     for entry in scan:
         a = io.read_ptag(os.path.join(run_dir, entry["a"]))
         b = io.read_ptag(os.path.join(run_dir, entry["b"]))
-        scans.append((entry["phase_rad"],
-                      tagcorr.gated_coincidences(a, b, gate, center_ps=0.0)))
+        scans.append((entry["phase_rad"], tagcorr.gated_coincidences(a, b, gate)))
     vis, sigma = tagcorr.franson_visibility_scan(scans)
     bell = twophoton.bell_check(vis, max(sigma, 1e-12))
     io.save_curve(os.path.join(out_dir, "franson_scan.csv"),
@@ -326,8 +327,10 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer of ps, got {text!r}")
+    """A width in ps: a positive int64, as the timestamps are."""
+    if not text.isdigit() or not 0 < int(text) < 2**63:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer of ps below 2^63, got {text!r}")
     return int(text)
 
 
@@ -379,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: numpy's allocation message
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,7 +106,7 @@ def load_scenario(path) -> Scenario:
     [run], the detectors, [spectrum] (exactly one of file and
     gaussian_fwhm_ghz), [phase_matching] (fwhm_ghz required), every key of
     [franson] and [analysis] gate_ps.  A key that nothing reads, in any
-    section, is an error.
+    section, is an error, as is a *_ps value of magnitude 2^63 or more.
     """
     path = _resolve(path)
     # no key interpolates, so a % in a value is literal
@@ -127,9 +127,12 @@ def load_scenario(path) -> Scenario:
         read_keys.add((section, key))
         raw = parser.get(section, key)
         try:
-            return conv(raw)
+            value = conv(raw)
         except ValueError as exc:
             raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
+        if key.endswith("_ps") and not abs(value) < 2**63:  # timestamps are int64
+            raise ScenarioError(f"{path}: {section}.{key} = {raw!r} is not below 2^63 ps")
+        return value
 
     def build(cls, section):
         types = typing.get_type_hints(cls)

@@ -342,6 +342,8 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
 
     margin = int(6 * max(cfg.detector_a.jitter_sigma_ps, cfg.detector_b.jitter_sigma_ps))
     duration = int(pair_times.max() if pair_times.size else 0) + d_a + d_b + margin + 1
+    if duration >= 2**63:
+        raise SimError("franson_sample: delayed and jittered tags would reach 2^63 ps")
     t_a = pair_times + np.where(long_a, d_a, 0)
     t_b = pair_times + np.where(long_b, d_b, 0)
     t_a.sort()

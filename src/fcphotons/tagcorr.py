@@ -1,6 +1,5 @@
 """Time-tag analysis: coincidence histograms, SBR extraction, heralded g2(0)."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +41,11 @@ class CorrelationHistogram:
 
 @dataclass(frozen=True)
 class HeraldedG2Result:
-    """heralded_g2's histogram and g2(0).  sigma is the large-count error and means
-    nothing at a small m = 0 count h0: at h0 = 1 it is g2_zero itself, to within
-    the plateau's error.  g2_zero_interval is exact at any h0."""
+    """heralded_g2's histogram and g2(0), with its exact interval."""
 
     m_values: np.ndarray
     histogram: np.ndarray
     g2_zero: float
-    sigma: float  # large-count approximation; see heralded_g2
     plateau: float
     g2_zero_interval: tuple[float, float]  # central 68.27 % exact Poisson interval
 
@@ -165,7 +161,7 @@ def extract_sbr(h: CorrelationHistogram, background_exclusion_ps: int) -> SbrRes
     return SbrResult(signal, float(background), float(sbr), float(sigma))
 
 
-def _nearest_flags(heralds: np.ndarray, tags: np.ndarray, half_window: float) -> np.ndarray:
+def _nearest_flags(heralds: np.ndarray, tags: np.ndarray, half_window: int) -> np.ndarray:
     """Indices into heralds of the nearest herald of each tag, for the tags within
     half_window of it; an equidistant tag goes to the earlier herald."""
     idx = np.searchsorted(heralds, tags)
@@ -191,10 +187,10 @@ class HeraldedG2Counter:
     G2_MAX_SEPARATION heralds of the last one are kept.
     """
 
-    def __init__(self, hbt1: TagStream, hbt2: TagStream, window_ps: float):
+    def __init__(self, hbt1: TagStream, hbt2: TagStream, window_ps: int):
         if window_ps <= 0:
             raise AnalysisError("heralded_g2: window must be positive")
-        self._half_window = window_ps / 2.0
+        self._half_window = int(window_ps // 2)  # |d| <= window/2 for integer delays d
         self._tags = (hbt1.tags, hbt2.tags)
         self._next = [0, 0]  # per HBT stream, its first tag no block has taken
         self._recent = (np.empty(0, dtype=np.intp),) * 2  # flags a later flag can reach
@@ -251,21 +247,17 @@ class HeraldedG2Counter:
         self.finish()
         hist = self._hist.copy()
         m_values = np.arange(-G2_MAX_SEPARATION, G2_MAX_SEPARATION + 1)
-        plat_mask = np.abs(m_values) >= G2_PLATEAU_FROM
-        plat_counts = hist[plat_mask]
-        plateau = plat_counts.mean()
+        plateau = hist[np.abs(m_values) >= G2_PLATEAU_FROM].mean()
         if plateau <= 0:
             raise AnalysisError("heralded_g2: empty normalization plateau")
-        h0 = float(hist[m_values == 0][0])
-        g2 = h0 / plateau
-        sigma = np.sqrt(max(h0, 1.0)) / plateau * np.sqrt(1.0 + h0 / plat_counts.sum())
-        lo, hi = poisson_interval(int(h0))
-        return HeraldedG2Result(m_values, hist, float(g2), float(sigma), float(plateau),
+        h0 = int(hist[m_values == 0][0])
+        lo, hi = poisson_interval(h0)
+        return HeraldedG2Result(m_values, hist, float(h0 / plateau), float(plateau),
                                 (lo / plateau, hi / plateau))
 
 
 def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
-                window_ps: float) -> HeraldedG2Result:
+                window_ps: int) -> HeraldedG2Result:
     """Heralded g2(0) from herald-referenced binary detection lists.
 
     Per herald, each HBT detector contributes a binary flag for an event
@@ -275,13 +267,11 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     over that separation index, |m| <= G2_MAX_SEPARATION, is normalized by its
     plateau at |m| >= G2_PLATEAU_FROM and g2(0) is the normalized value at m = 0.
 
-    sigma, sqrt(max(h0, 1))/plateau with the plateau's error folded in, is the
-    large-count approximation; it collapses when the m = 0 count h0 is 0 or 1.
     g2_zero_interval is the central 68.27 % exact (Garwood) Poisson interval
-    on h0 divided by the plateau.  It neglects the plateau's own error, which
-    is small beside h0's because the plateau averages 82 bins: on 1 s of the
-    bundled g2_chain, about 0.5 % against about 47 % for h0 at its expected
-    4.6 counts.
+    on the m = 0 count h0, divided by the plateau, and holds at any h0.  It
+    neglects the plateau's own error, which is small beside h0's because the
+    plateau averages 82 bins: on 1 s of the bundled g2_chain, about 0.5 %
+    against about 47 % for h0 at its expected 4.6 counts.
 
     The heralds go through a HeraldedG2Counter in the blocks of simkit._blocks.
     """
@@ -291,22 +281,19 @@ def heralded_g2(herald: TagStream, hbt1: TagStream, hbt2: TagStream,
     return counter.result()
 
 
-def gated_coincidences(a: TagStream, b: TagStream, gate_ps: float,
-                       center_ps: float = 0.0) -> int:
-    """Count pairs with t_b - t_a within +-gate/2 of the given center."""
+def gated_coincidences(a: TagStream, b: TagStream, gate_ps: int, center_ps: int = 0) -> int:
+    """Count pairs with t_b - t_a in [center - gate // 2, center + gate // 2]."""
     if b.tags.size == 0 or a.tags.size == 0 or gate_ps <= 0:
         return 0
-    # integer delays in the closed gate; for integer ps, center -+ gate // 2
-    lo, hi = _window(a.tags, b.tags, math.ceil(center_ps - gate_ps / 2),
-                     math.floor(center_ps + gate_ps / 2))
+    lo, hi = _window(a.tags, b.tags, center_ps - gate_ps // 2, center_ps + gate_ps // 2)
     return int((hi - lo).sum())
 
 
 def franson_visibility_scan(scans) -> tuple[float, float]:
-    """Fringe visibility from (phase, gated count) points; counts get Poisson sigmas."""
+    """Fringe visibility from (phase, gated count) points, weighted by Poisson errors."""
     scans = np.asarray(scans, dtype=float)
     if scans.ndim != 2 or scans.shape[0] < 8:
         raise AnalysisError("franson_visibility_scan: need >= 8 phase points")
     if not scans[:, 1].sum() > 0:
         raise AnalysisError("franson_visibility_scan: no counts")
-    return fringe_fit(scans, sigma=np.sqrt(np.maximum(scans[:, 1], 1.0)))
+    return fringe_fit(scans, np.sqrt(np.maximum(scans[:, 1], 1.0)))

@@ -1,6 +1,9 @@
 """Slow, obviously correct reference implementations the fast code is tested against."""
 
+import math
+
 import numpy as np
+from scipy.stats import poisson
 
 from fcphotons.simkit import SourceParams, TagStream, _poisson_times
 from fcphotons.spectral import GHZ_PS, CoherenceEnvelope, SpectralError, Spectrum
@@ -75,6 +78,16 @@ def separation_histogram_loop(f1: np.ndarray, f2: np.ndarray, max_separation: in
         else:
             hist[j] = np.count_nonzero(f1[-m:] & f2[: n + m])
     return hist
+
+
+# each tail of a two-sided exact Poisson test at 3 sigma holds at least this much
+THREE_SIGMA_TAIL = 0.5 * math.erfc(3 / math.sqrt(2))  # 0.00135
+
+
+def poisson_tail(observed: int, expected: float) -> float:
+    """The smaller exact Poisson tail of a count at its expected mean:
+    min(P(X <= observed), P(X >= observed)) for X ~ Poisson(expected)."""
+    return float(min(poisson.cdf(observed, expected), poisson.sf(observed - 1, expected)))
 
 
 def dead_time_loop(tags: np.ndarray, dead_time_ps: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from fcphotons.cli import main
 from fcphotons.scenario import FransonScanSettings, load_scenario
 from fcphotons.simkit import DetectorModel, SourceParams, TagStream
 from fcphotons.spectral import PhaseMatching, gaussian_spectrum
+from oracles import THREE_SIGMA_TAIL, poisson_tail
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MINIMAL_SCENARIO = "[run]\nkind = g2_chain\nduration_ps = 1000\n[source]\npair_rate_per_s = 1e6\n"
@@ -26,6 +27,8 @@ MINIMAL_FRANSON = ("[run]\nkind = franson\nduration_ps = 1000\n"
                    "[franson]\ndelay_ps = 1140\ndelay_imbalance_ps = 0\nv_mi = 0.88\n"
                    "v_mzi = 0.95\nphase_points = 12\npairs_per_point = 5000\n"
                    "[analysis]\ngate_ps = 512\n")
+# a source that draws no tag, so a run of any duration is quick
+EMPTY_SOURCE = MINIMAL_SCENARIO.replace("pair_rate_per_s = 1e6", "pair_rate_per_s = 0")
 WIDTH_FLAGS = ("--bin-ps", "--gate-ps", "--window-ps", "--delay-range-ps",
                "--background-exclusion-ps")
 
@@ -247,8 +250,11 @@ def test_simulate_and_analyze_g2_chain(tmp_path):
     res = io.read_summary(ana / "analysis.json")
     assert res["status"] == "ok"
     predicted = models.g2_from_sbr(res["sbr"])
-    tol = 3 * res["sigma"] + 3 * res["sbr_sigma"] / (res["sbr"] + 1) ** 2
+    tol = 3 * res["sbr_sigma"] / (res["sbr"] + 1) ** 2
     assert abs(res["g2_zero"] - predicted) < max(tol, 0.05)
+    # the m = 0 count against the prediction times the plateau, exact Poisson test at 3 sigma
+    assert poisson_tail(res["h0"], predicted * res["plateau"]) >= THREE_SIGMA_TAIL
+    assert res["g2_zero"] == res["h0"] / res["plateau"] and "sigma" not in res
     assert (ana / "g2_histogram.csv").exists()
     assert (ana / "correlation.csv").exists()
 
@@ -326,6 +332,26 @@ def test_analyze_rejects_nonpositive_width(tmp_path, flag, value):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", WIDTH_FLAGS)
+def test_analyze_rejects_width_of_2_63_ps(tmp_path, flag, capsys):
+    # the timestamps are int64, so no width in ps reaches 2^63
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *(str(tmp_path / t) for t in "hab"), "--mode", "g2",
+              "--out", str(tmp_path / "ana"), flag, str(2**63)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_analyze_allocation_failure_exits_2(tmp_path, capsys):
+    # a 2^63 - 1 ps range in 1500 ps bins asks numpy for 87.4 PiB, which fails at once
+    for name in ("h.ptag", "a.ptag"):
+        io.write_ptag(tmp_path / name, TagStream(0, np.array([5], dtype=np.int64), 10))
+    rc = main(["analyze", str(tmp_path / "h.ptag"), str(tmp_path / "a.ptag"), "--mode", "sbr",
+               "--out", str(tmp_path / "ana"), "--delay-range-ps", str(2**63 - 1)])
+    assert rc == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
 def test_simulate_rejects_negative_seed_before_writing(tmp_path, capsys):
     out = tmp_path / "neg"
     with pytest.raises(SystemExit) as exc:
@@ -372,12 +398,13 @@ def scan_with_phase(phase):
     {"kind": "franson", "gate_ps": -5, "scan": [SCAN_ENTRY]},
     {"kind": "franson", "gate_ps": True, "scan": [SCAN_ENTRY]},
     {"kind": "franson", "gate_ps": 512.0, "scan": [SCAN_ENTRY]},
+    {"kind": "franson", "gate_ps": 2**63, "scan": [SCAN_ENTRY]},
     {"kind": "franson", "gate_ps": 512, "scan": [{**SCAN_ENTRY, "a": 0}]},
     {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(True)},
     {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(None)},
     {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(float("inf"))},
 ], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "no_gate", "not_object",
-        "gate_string", "gate_negative", "gate_bool", "gate_float", "file_not_string",
+        "gate_string", "gate_negative", "gate_bool", "gate_float", "gate_2_63", "file_not_string",
         "phase_bool", "phase_null", "phase_inf"])
 def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
     # empty tag files stand by, so only the summary's own defects can fail the run
@@ -586,6 +613,16 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "[franson] phase_points and pairs_per_point must be nonnegative"),
     (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nseed = -1\n"), "run.seed must be nonnegative"),
     (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nseed = 1e3\n"), None),
+    (EMPTY_SOURCE.replace("duration_ps = 1000", "duration_ps = 9223372036854775808"),
+     "run.duration_ps = '9223372036854775808' is not below 2^63 ps"),
+    (EMPTY_SOURCE.replace("duration_ps = 1000", "duration_ps = 18446744073709551616"),
+     "run.duration_ps = '18446744073709551616' is not below 2^63 ps"),
+    (MINIMAL_FRANSON.replace("delay_ps = 1140", "delay_ps = 1e23"),
+     "franson.delay_ps = '1e23' is not below 2^63 ps"),
+    (MINIMAL_FRANSON.replace("delay_imbalance_ps = 0", "delay_imbalance_ps = -1e23"),
+     "franson.delay_imbalance_ps = '-1e23' is not below 2^63 ps"),
+    (MINIMAL_SCENARIO + "[detector_herald]\njitter_sigma_ps = 1e300\n",
+     "detector_herald.jitter_sigma_ps = '1e300' is not below 2^63 ps"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
         "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
@@ -594,7 +631,8 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
         "missing_phase_points", "missing_pm_fwhm", "missing_gate", "spectrum_nan",
         "section_twice", "key_twice", "key_before_section", "lone_percent",
         "percent_in_name", "delay_zero", "v_mi_above_one", "phase_points_negative",
-        "pairs_per_point_negative", "seed_negative", "seed_float_form"])
+        "pairs_per_point_negative", "seed_negative", "seed_float_form", "duration_2_63",
+        "duration_2_64", "delay_1e23", "imbalance_minus_1e23", "jitter_1e300"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
     name = "g2-%(x)s" if "name = " in scenario else "scenario.ini"
     seed = 1000 if "seed = 1e3" in scenario else 0

@@ -405,6 +405,13 @@ def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,
     return franson_sample(pair_times, cfg, rng)
 
 
+def test_franson_sample_refuses_tags_at_2_63_ps():
+    # the long path alone reaches the int64 limit
+    cfg = FransonMcConfig(pc=flat_pc(1.0), delay_ps=2**63 - 1)
+    with pytest.raises(SimError, match=r"would reach 2\^63 ps"):
+        franson_sample(np.array([0, 10], dtype=np.int64), cfg, 1)
+
+
 def test_franson_three_peaks():
     counts = {-1140: 0, 0: 0, 1140: 0}
     n_per_phase, phases = 2000, 24

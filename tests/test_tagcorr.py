@@ -32,7 +32,13 @@ from fcphotons.tagcorr import (
     heralded_g2,
 )
 from fcphotons.twophoton import pair_coherence
-from oracles import cross_correlate_bruteforce, separation_histogram_loop, window_flags_mask
+from oracles import (
+    THREE_SIGMA_TAIL,
+    cross_correlate_bruteforce,
+    poisson_tail,
+    separation_histogram_loop,
+    window_flags_mask,
+)
 from streams import chain_streams, pair_streams
 
 SEC = 10**12
@@ -170,7 +176,7 @@ def test_heralded_g2_uncorrelated_is_one():
     hbt1 = poisson_stream(1e5, SEC, 51, channel=1)
     hbt2 = poisson_stream(1e5, SEC, 52, channel=2)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=10**7)
-    assert abs(res.g2_zero - 1.0) < 3 * res.sigma
+    assert poisson_tail(res.histogram[res.m_values == 0][0], res.plateau) >= THREE_SIGMA_TAIL
     lo, hi = res.g2_zero_interval
     assert lo < res.g2_zero < hi
 
@@ -182,7 +188,8 @@ def test_heralded_g2_sbr3_matches_eq5():
     h = cross_correlate(herald, hbt1, 1500, 150000)
     sbr = extract_sbr(h, 15000)
     assert 2.5 < sbr.sbr < 3.5
-    assert abs(res.g2_zero - g2_from_sbr(sbr.sbr)) < 3 * res.sigma
+    h0 = res.histogram[res.m_values == 0][0]
+    assert poisson_tail(h0, g2_from_sbr(sbr.sbr) * res.plateau) >= THREE_SIGMA_TAIL
 
 
 def test_heralded_g2_time_reversal_mirror():
@@ -366,7 +373,7 @@ def test_heralded_g2_seams_equal_whole_stream_masks(block, monkeypatch):
     f2 = window_flags_mask(herald.tags, hbt2, 100000.0)
     assert np.array_equal(res.histogram, separation_histogram_loop(f1, f2, 50))
     assert np.array_equal(res.histogram, whole.histogram)
-    assert res.g2_zero == whole.g2_zero and res.sigma == whole.sigma
+    assert res.g2_zero == whole.g2_zero and res.g2_zero_interval == whole.g2_zero_interval
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
