@@ -42,8 +42,8 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
     for channel, (label, parts) in enumerate(zip(("hbt1", "hbt2"), hbt_parts), start=1):
         tags = np.concatenate(parts)
         parts.clear()
-        io.write_ptag(os.path.join(out_dir, files[label]),
-                      simkit.TagStream(channel, tags, duration))
+        io.write_ptag(os.path.join(out_dir, files[label]), channel,
+                      simkit.TagStream(tags, duration))
         counts[label] = tags.size
         del tags  # one whole HBT stream in memory at a time
     summary = {
@@ -83,8 +83,8 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
         a, b = simkit.franson_sample(pair_times, dataclasses.replace(cfg, phase_rad=float(phi)),
                                      rng)
         fa, fb = f"franson_a_{k:03d}.ptag", f"franson_b_{k:03d}.ptag"
-        io.write_ptag(os.path.join(out_dir, fa), a)
-        io.write_ptag(os.path.join(out_dir, fb), b)
+        io.write_ptag(os.path.join(out_dir, fa), 0, a)
+        io.write_ptag(os.path.join(out_dir, fb), 1, b)
         files.append({"phase_rad": float(phi), "a": fa, "b": fb})
     summary = {
         "kind": "franson",

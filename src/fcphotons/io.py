@@ -106,9 +106,9 @@ class PtagWriter(_PtagFile):
         self.count += tags.size
 
 
-def write_ptag(path, stream: TagStream) -> None:
-    """Write one tag stream to the PTAG binary format (see PtagWriter), block by block."""
-    with PtagWriter(path, stream.channel, stream.duration_ps) as writer:
+def write_ptag(path, channel: int, stream: TagStream) -> None:
+    """Write one tag stream to a PTAG file on channel (see PtagWriter), block by block."""
+    with PtagWriter(path, channel, stream.duration_ps) as writer:
         for block in _blocks(stream.tags):
             writer.append(block)
 
@@ -119,13 +119,11 @@ class PtagReader(_PtagFile):
     Opening reads the header and sizes the file; blocks() reads the records
     through one buffer of simkit._BLOCK records.  A record on a second channel, a
     timestamp of 2^63 ps or more, beyond the header's duration or before the
-    record ahead of it, or a file that ends early, is a FileFormatError.  A
-    file without records has channel 0.
+    record ahead of it, or a file that ends early, is a FileFormatError.
     """
 
     def __init__(self, path):
         self.path = path
-        self.channel = 0
         self._fh = open(path, "rb")
         try:
             header = self._fh.read(_HEADER_BYTES)
@@ -163,8 +161,8 @@ class PtagReader(_PtagFile):
                 raise FileFormatError(f"{path}: file shrank while being read")
             channels = records["channel"]
             if start == 0:
-                self.channel = int(channels[0])
-            if (channels != self.channel).any():
+                channel = channels[0]
+            if (channels != channel).any():
                 raise FileFormatError(f"{path}: records on more than one channel")
             block = (tags if out is None else out[start:])[:records.size]
             block[...] = records["timestamp_ps"]
@@ -185,7 +183,7 @@ def read_ptag(path) -> TagStream:
         tags = np.empty(reader.size, dtype=np.int64)
         for _ in reader.blocks(tags):  # each block lands in its slice of tags
             pass
-    return TagStream(reader.channel, tags, int(reader.duration_ps))
+    return TagStream(tags, int(reader.duration_ps))
 
 
 def write_summary(path, data: dict) -> None:

@@ -68,9 +68,8 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class TagStream:
-    """Sorted detection timestamps (integer ps) on one channel."""
+    """Sorted detection timestamps (integer ps) of one detector."""
 
-    channel: int
     tags: np.ndarray
     duration_ps: int
 
@@ -291,7 +290,7 @@ def apply_detector(s: TagStream, d: DetectorModel, seed) -> TagStream:
     The Detector fed the whole stream at once.
     """
     det = Detector(d, s.duration_ps, seed)
-    return TagStream(s.channel, _merge(det.feed(s.tags), det.close()), s.duration_ps)
+    return TagStream(_merge(det.feed(s.tags), det.close()), s.duration_ps)
 
 
 def hbt_split(tags: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -348,5 +347,5 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
     t_b = pair_times + np.where(long_b, d_b, 0)
     t_a.sort()
     t_b.sort()
-    return (apply_detector(TagStream(0, t_a, duration), cfg.detector_a, rng),
-            apply_detector(TagStream(1, t_b, duration), cfg.detector_b, rng))
+    return (apply_detector(TagStream(t_a, duration), cfg.detector_a, rng),
+            apply_detector(TagStream(t_b, duration), cfg.detector_b, rng))

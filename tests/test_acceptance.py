@@ -136,17 +136,16 @@ def test_08_g2_endpoints():
     # perfect heralded single photons
     tags = np.arange(1, 20001, dtype=np.int64) * 10**6
     duration = int(tags[-1] + 10**6)
-    herald = simkit.TagStream(0, tags, duration)
-    hbt1, hbt2 = (simkit.TagStream(k, t, duration)
-                  for k, t in enumerate(simkit.hbt_split(tags, 10), start=1))
+    herald = simkit.TagStream(tags, duration)
+    hbt1, hbt2 = (simkit.TagStream(t, duration) for t in simkit.hbt_split(tags, 10))
     perfect = tagcorr.heralded_g2(herald, hbt1, hbt2, window_ps=1500)
     ok = perfect.g2_zero == 0.0
 
     # uncorrelated Poisson light
     rng = np.random.default_rng(11)
-    mk = lambda rate, ch: simkit.TagStream(
-        ch, np.sort(rng.integers(0, SEC, rng.poisson(rate), dtype=np.int64)), SEC)
-    unc = tagcorr.heralded_g2(mk(1e4, 0), mk(1e5, 1), mk(1e5, 2), window_ps=10**7)
+    mk = lambda rate: simkit.TagStream(
+        np.sort(rng.integers(0, SEC, rng.poisson(rate), dtype=np.int64)), SEC)
+    unc = tagcorr.heralded_g2(mk(1e4), mk(1e5), mk(1e5), window_ps=10**7)
     # the m = 0 count against g2(0) = 1 times the plateau, exact Poisson test at 3 sigma
     unc_tail = poisson_tail(unc.histogram[unc.m_values == 0][0], 1.0 * unc.plateau)
     ok = ok and unc_tail >= THREE_SIGMA_TAIL
@@ -215,9 +214,9 @@ def test_12_correlator_oracle_equivalence():
     rng = np.random.default_rng(14)
     ok = True
     for _ in range(3):
-        a = simkit.TagStream(0, np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)),
+        a = simkit.TagStream(np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)),
                              10**9)
-        b = simkit.TagStream(1, np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)),
+        b = simkit.TagStream(np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)),
                              10**9)
         fast = tagcorr.cross_correlate(a, b, 1500, 90000)
         slow = cross_correlate_bruteforce(a, b, 1500, 90000)

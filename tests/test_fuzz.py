@@ -35,7 +35,7 @@ def fuzz_dir(tmp_path_factory):
 def valid_ptag(path) -> bytes:
     """The bytes of a valid PTAG file: 40 sorted tags on channel 2, ties included."""
     tags = np.sort(np.random.default_rng(5).integers(0, 10**6, 40, dtype=np.int64))
-    io.write_ptag(path, TagStream(2, np.sort(np.concatenate([tags, tags[-3:]])), 10**6 + 7))
+    io.write_ptag(path, 2, TagStream(np.sort(np.concatenate([tags, tags[-3:]])), 10**6 + 7))
     return path.read_bytes()
 
 

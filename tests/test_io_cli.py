@@ -48,20 +48,21 @@ def write_sbr_points(path, dt_s):
 
 def test_ptag_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    s = TagStream(3, np.sort(rng.integers(0, 10**9, 500, dtype=np.int64)), 10**9)
+    s = TagStream(np.sort(rng.integers(0, 10**9, 500, dtype=np.int64)), 10**9)
     path = tmp_path / "tags.ptag"
-    io.write_ptag(path, s)
+    io.write_ptag(path, 3, s)
     back = io.read_ptag(path)
-    assert (back.channel, back.duration_ps) == (3, 10**9)
+    assert back.duration_ps == 10**9
     assert back.tags.dtype == np.int64 and np.array_equal(back.tags, s.tags)
     # the format: header, then one u8 channel + u64 timestamp record per tag
     raw = path.read_bytes()
     assert raw[:io._HEADER_BYTES] == b"PTAG" + struct.pack("<HQ", 1, 10**9)
     assert raw[io._HEADER_BYTES:] == b"".join(struct.pack("<BQ", 3, t) for t in s.tags)
-    # an empty stream keeps its duration; a file without records reads as channel 0
-    io.write_ptag(path, TagStream(3, np.empty(0, dtype=np.int64), 10**9))
+    # an empty stream keeps its duration and writes no records
+    io.write_ptag(path, 3, TagStream(np.empty(0, dtype=np.int64), 10**9))
+    assert path.stat().st_size == io._HEADER_BYTES
     back = io.read_ptag(path)
-    assert (back.channel, back.tags.size, back.duration_ps) == (0, 0, 10**9)
+    assert (back.tags.size, back.duration_ps) == (0, 10**9)
 
 
 def test_ptag_bad_magic(tmp_path):
@@ -74,7 +75,7 @@ def test_ptag_bad_magic(tmp_path):
 @pytest.mark.parametrize("size", [6, 14 + 3 * 9 + 4], ids=["short_header", "partial_record"])
 def test_ptag_truncated_file_rejected(tmp_path, size):
     full = tmp_path / "full.ptag"
-    io.write_ptag(full, TagStream(0, np.arange(0, 5000, 1000, dtype=np.int64), 10**4))
+    io.write_ptag(full, 0, TagStream(np.arange(0, 5000, 1000, dtype=np.int64), 10**4))
     cut = tmp_path / "cut.ptag"
     cut.write_bytes(full.read_bytes()[:size])
     with pytest.raises(io.FileFormatError):
@@ -86,7 +87,7 @@ def test_ptag_truncated_file_rejected(tmp_path, size):
 def test_ptag_file_shorter_than_its_size_rejected(tmp_path, monkeypatch):
     # a file that loses records between the size check and the read
     path = tmp_path / "tags.ptag"
-    io.write_ptag(path, TagStream(0, np.arange(5, dtype=np.int64), 10))
+    io.write_ptag(path, 0, TagStream(np.arange(5, dtype=np.int64), 10))
     fstat = os.fstat
     with monkeypatch.context() as m:
         m.setattr(io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 9))
@@ -105,7 +106,7 @@ def write_raw_ptag(path, channels, timestamps, duration_ps):
 def assert_analyze_rejects_herald(tmp_path, capsys, path, match):
     """analyze exits 2 with path in the herald slot of g2 and sbr mode, writing nothing."""
     other = tmp_path / "other.ptag"
-    io.write_ptag(other, TagStream(1, np.arange(10**6, 10**7, 10**5, dtype=np.int64), 10**7))
+    io.write_ptag(other, 1, TagStream(np.arange(10**6, 10**7, 10**5, dtype=np.int64), 10**7))
     for mode, tags in (("g2", [path, other, other]), ("sbr", [path, other])):
         out = tmp_path / f"ana_{mode}"
         assert main(["analyze", *map(str, tags), "--mode", mode, "--out", str(out)]) == 2
@@ -154,13 +155,13 @@ BLOCK = simkit._BLOCK  # records per PTAG read/write block
                          ids=["empty", "one", "one_block", "block_plus_1", "two_blocks_plus_3"])
 def test_ptag_round_trip_across_blocks(tmp_path, n):
     rng = np.random.default_rng(n)
-    s = TagStream(4, np.sort(rng.integers(0, 10**12, n, dtype=np.int64)), 10**12)
+    s = TagStream(np.sort(rng.integers(0, 10**12, n, dtype=np.int64)), 10**12)
     path, ref = tmp_path / "tags.ptag", tmp_path / "ref.ptag"
-    io.write_ptag(path, s)
+    io.write_ptag(path, 4, s)
     write_raw_ptag(ref, np.full(n, 4), s.tags, 10**12)  # the records in one piece
     assert path.read_bytes() == ref.read_bytes()
     back = io.read_ptag(path)
-    assert (back.channel, back.duration_ps) == (4 if n else 0, 10**12)
+    assert back.duration_ps == 10**12
     assert back.tags.dtype == np.int64 and np.array_equal(back.tags, s.tags)
 
 
@@ -306,9 +307,9 @@ def test_simulate_zero_duration(tmp_path):
 
 
 def test_analyze_g2_empty_hbt_file(tmp_path):
-    herald = TagStream(0, np.arange(0, 10**8, 10**4, dtype=np.int64), 10**8)
-    io.write_ptag(tmp_path / "herald.ptag", herald)
-    io.write_ptag(tmp_path / "hbt.ptag", TagStream(1, np.empty(0, dtype=np.int64), 10**8))
+    herald = TagStream(np.arange(0, 10**8, 10**4, dtype=np.int64), 10**8)
+    io.write_ptag(tmp_path / "herald.ptag", 0, herald)
+    io.write_ptag(tmp_path / "hbt.ptag", 1, TagStream(np.empty(0, dtype=np.int64), 10**8))
     ana = tmp_path / "ana"
     rc = main(["analyze", str(tmp_path / "herald.ptag"), str(tmp_path / "hbt.ptag"),
                str(tmp_path / "hbt.ptag"), "--mode", "g2", "--out", str(ana)])
@@ -345,7 +346,7 @@ def test_analyze_rejects_width_of_2_63_ps(tmp_path, flag, capsys):
 def test_analyze_allocation_failure_exits_2(tmp_path, capsys):
     # a 2^63 - 1 ps range in 1500 ps bins asks numpy for 87.4 PiB, which fails at once
     for name in ("h.ptag", "a.ptag"):
-        io.write_ptag(tmp_path / name, TagStream(0, np.array([5], dtype=np.int64), 10))
+        io.write_ptag(tmp_path / name, 0, TagStream(np.array([5], dtype=np.int64), 10))
     rc = main(["analyze", str(tmp_path / "h.ptag"), str(tmp_path / "a.ptag"), "--mode", "sbr",
                "--out", str(tmp_path / "ana"), "--delay-range-ps", str(2**63 - 1)])
     assert rc == 2
@@ -409,7 +410,7 @@ def scan_with_phase(phase):
 def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
     # empty tag files stand by, so only the summary's own defects can fail the run
     for name in ("x.ptag", "y.ptag"):
-        io.write_ptag(tmp_path / name, TagStream(0, np.empty(0, dtype=np.int64), 0))
+        io.write_ptag(tmp_path / name, 0, TagStream(np.empty(0, dtype=np.int64), 0))
     io.write_summary(tmp_path / "summary.json", summary)
     rc = main(["analyze", str(tmp_path), "--mode", "franson", "--out", str(tmp_path / "ana")])
     assert rc == 2

@@ -57,14 +57,14 @@ def test_g2_chain_blocks_holds_output_plus_2_mb():
 
 def test_write_ptag_holds_under_1_mb(tmp_path, g2_chain_streams):
     herald = g2_chain_streams[0]
-    _, peak = traced_peak(io.write_ptag, tmp_path / "herald.ptag", herald)
+    _, peak = traced_peak(io.write_ptag, tmp_path / "herald.ptag", 0, herald)
     assert peak < MB
 
 
 def test_read_ptag_holds_result_plus_1_mb(tmp_path):
     n = 10**6
     path = tmp_path / "tags.ptag"
-    io.write_ptag(path, TagStream(0, np.arange(0, 3 * n, 3, dtype=np.int64), 3 * n))
+    io.write_ptag(path, 0, TagStream(np.arange(0, 3 * n, 3, dtype=np.int64), 3 * n))
     back, peak = traced_peak(io.read_ptag, path)
     assert back.tags.size == n
     assert peak <= back.tags.nbytes + MB
@@ -89,7 +89,7 @@ def test_cross_correlate_dense_holds_under_half_the_heralds():
 def test_apply_detector_with_jitter_and_dead_time_holds_input_plus_2_mb():
     # the dense_sbr herald detector on 1e6 tags: the output plus block scratch only
     tags = np.sort(np.random.default_rng(3).integers(0, SEC, 10**6, dtype=np.int64))
-    stream = TagStream(0, tags, SEC)
+    stream = TagStream(tags, SEC)
     out, peak = traced_peak(apply_detector, stream, DENSE_SBR_HERALD, 4)
     assert 0.9 * tags.size < out.tags.size < tags.size
     assert peak <= tags.nbytes + 2 * MB

@@ -64,7 +64,7 @@ def correlator_cases(draw):
 def test_cross_correlator_any_partition_equals_bruteforce(case):
     a, b, w, delay_range, parts, block = case
     duration = int(max(a.max(initial=0), b.max(initial=0)))
-    sa, sb = TagStream(0, a, duration), TagStream(1, b, duration)
+    sa, sb = TagStream(a, duration), TagStream(b, duration)
     expected = cross_correlate_bruteforce(sa, sb, w, delay_range).bins
     with mock.patch.object(simkit, "_BLOCK", block):
         correlator = CrossCorrelator(sb, w, delay_range)
@@ -94,7 +94,7 @@ def g2_cases(draw):
 def test_heralded_g2_counter_any_partition_equals_masks(case):
     heralds, (tags1, tags2), window, parts, (reach, plateau_from, block) = case
     duration = int(max(heralds[-1], tags1.max(initial=0), tags2.max(initial=0)))
-    hbt1, hbt2 = TagStream(1, tags1, duration), TagStream(2, tags2, duration)
+    hbt1, hbt2 = TagStream(tags1, duration), TagStream(tags2, duration)
     masks = [window_flags_mask(heralds, s, window / 2) for s in (hbt1, hbt2)]
     expected = separation_histogram_loop(*masks, reach)
     with mock.patch.object(simkit, "_BLOCK", block), \
@@ -128,7 +128,7 @@ def test_ptag_writer_any_partition_writes_write_ptag_bytes(ptag_dir, case):
     duration = int(tags.max(initial=0)) + 1
     whole, fed = ptag_dir / "whole.ptag", ptag_dir / "fed.ptag"
     with mock.patch.object(simkit, "_BLOCK", block):
-        io.write_ptag(whole, TagStream(channel, tags, duration))
+        io.write_ptag(whole, channel, TagStream(tags, duration))
         with io.PtagWriter(fed, channel, duration) as writer:
             for part in parts:
                 writer.append(part)
@@ -149,7 +149,7 @@ def swap_cases(draw):
 def test_ptag_one_swapped_record_rejected_anywhere(ptag_dir, case):
     tags, i, block = case
     path = ptag_dir / "swapped.ptag"
-    io.write_ptag(path, TagStream(3, tags, int(tags[-1])))
+    io.write_ptag(path, 3, TagStream(tags, int(tags[-1])))
     data = bytearray(path.read_bytes())
     size = io._RECORD_DTYPE.itemsize
     at = io._HEADER_BYTES + i * size

@@ -36,9 +36,9 @@ def flat_pc(value=1.0):
 
 def test_tagstream_validation():
     with pytest.raises(SimError):
-        TagStream(0, np.array([3, 1]), 10)
+        TagStream(np.array([3, 1]), 10)
     with pytest.raises(SimError):
-        TagStream(0, np.array([1, 20]), 10)
+        TagStream(np.array([1, 20]), 10)
 
 
 def test_determinism_bitwise():
@@ -108,7 +108,7 @@ def test_pair_blocks_has_no_whole_run_cap():
 
 
 def test_apply_detector_identity():
-    s = TagStream(0, np.array([5, 10, 20], dtype=np.int64), 100)
+    s = TagStream(np.array([5, 10, 20], dtype=np.int64), 100)
     out = apply_detector(s, DetectorModel(), seed=0)
     assert np.array_equal(out.tags, s.tags)
 
@@ -116,15 +116,15 @@ def test_apply_detector_identity():
 def test_apply_detector_jitter_width():
     n = 20000
     base = np.sort(np.random.default_rng(7).integers(0, SEC, n, dtype=np.int64))
-    a = apply_detector(TagStream(0, base, SEC), DetectorModel(jitter_sigma_ps=600), seed=8)
-    b = apply_detector(TagStream(1, base, SEC), DetectorModel(jitter_sigma_ps=600), seed=9)
+    a = apply_detector(TagStream(base, SEC), DetectorModel(jitter_sigma_ps=600), seed=8)
+    b = apply_detector(TagStream(base, SEC), DetectorModel(jitter_sigma_ps=600), seed=9)
     # tags stay matched by order at these sparse rates
     diffs = b.tags.astype(float) - a.tags.astype(float)
     assert abs(np.std(diffs) - 600 * np.sqrt(2)) < 0.03 * 600 * np.sqrt(2)
 
 
 def test_apply_detector_dead_time():
-    s = TagStream(0, np.array([0, 10, 20, 30], dtype=np.int64), 100)
+    s = TagStream(np.array([0, 10, 20, 30], dtype=np.int64), 100)
     out = apply_detector(s, DetectorModel(dead_time_ps=1000), seed=0)
     assert out.tags.size == 1
     out2 = apply_detector(s, DetectorModel(dead_time_ps=15), seed=0)
@@ -142,7 +142,7 @@ def test_apply_detector_dead_time_equals_loop(seed):
                       p=[0.05, 0.15, 0.3, 0.2, 0.1, 0.2])
     chain = np.full(200, max(dead // 3, 1))
     tags = np.cumsum(np.concatenate([gaps[:1500], chain, gaps[1500:]])).astype(np.int64)
-    s = TagStream(0, tags, int(tags[-1]))
+    s = TagStream(tags, int(tags[-1]))
     out = apply_detector(s, DetectorModel(dead_time_ps=dead), seed=0)
     assert np.array_equal(out.tags, dead_time_loop(tags, dead))
     assert out.tags.dtype == np.int64
@@ -174,7 +174,7 @@ def test_detector_dead_time_carried_across_seams(block, monkeypatch):
         for piece in (1, 2, 5, 64, tags.size):
             out = feed_in_pieces(Detector(model, int(tags[-1]), seed), tags, piece)
             assert np.array_equal(out, expected), (seed, piece)
-        whole = apply_detector(TagStream(0, tags, int(tags[-1])), model, seed)
+        whole = apply_detector(TagStream(tags, int(tags[-1])), model, seed)
         assert np.array_equal(whole.tags, expected)
 
 
@@ -192,7 +192,7 @@ def test_detector_jitter_crosses_seams_exactly(block, monkeypatch):
         expected = np.sort(np.clip(shifted, 0, duration))
         if model.dead_time_ps:
             expected = dead_time_loop(expected, model.dead_time_ps)
-        whole = apply_detector(TagStream(0, tags, duration), model, 21)
+        whole = apply_detector(TagStream(tags, duration), model, 21)
         assert np.array_equal(whole.tags, expected)
         for piece in (1, 3, 7, 100):
             rng = np.random.default_rng(21)
@@ -211,7 +211,7 @@ def test_detector_jitter_beyond_a_whole_block_is_an_error():
 def test_detector_empty_pieces():
     model = DetectorModel(jitter_sigma_ps=50, dead_time_ps=200)
     tags = clustered_tags(4, 200)
-    expected = apply_detector(TagStream(0, tags, int(tags[-1])), model, 9).tags
+    expected = apply_detector(TagStream(tags, int(tags[-1])), model, 9).tags
     det = Detector(model, int(tags[-1]), 9)
     empty = tags[:0]
     out = [det.feed(empty), det.feed(tags[:400]), det.feed(empty), det.feed(tags[400:]),
@@ -244,7 +244,7 @@ def test_detector_any_partition_equals_whole_stream(case):
     jittered = np.clip(tags + shifts, 0, duration)
     expected = dead_time_loop(np.sort(jittered), model.dead_time_ps) if tags.size else tags
     with mock.patch.object(simkit, "_BLOCK", block):
-        whole = apply_detector(TagStream(0, tags, duration), model, seed).tags
+        whole = apply_detector(TagStream(tags, duration), model, seed).tags
         assert np.array_equal(whole, expected)
         det = Detector(model, duration, seed)
         try:
@@ -305,7 +305,7 @@ def simulate_converted(tmp_path, eta2):
     assert main(["simulate", "--scenario", str(sc), "--out", str(out), "--seed", "5"]) == 0
     herald = io.read_ptag(out / "herald.ptag")
     tags = np.sort(np.concatenate([io.read_ptag(out / f"hbt{k}.ptag").tags for k in (1, 2)]))
-    return herald, TagStream(1, tags, SEC)
+    return herald, TagStream(tags, SEC)
 
 
 def test_converter_closed_form(tmp_path):
@@ -357,7 +357,7 @@ def test_g2_chain_blocks_detect_like_whole_streams(block, seed):
         models = (HERALD_MODEL, SIGNAL_MODEL, SIGNAL_MODEL)
         for k, (tags, model, rng) in enumerate(zip((herald, *hbt_split(signal, split_rng)),
                                                    models, rngs)):
-            expected = apply_detector(TagStream(k, tags, duration), model, rng).tags
+            expected = apply_detector(TagStream(tags, duration), model, rng).tags
             assert np.array_equal(np.concatenate([c[k] for c in chain]), expected), k
     assert len(chain) > 2
 
@@ -381,9 +381,10 @@ def test_simulate_in_time_blocks_detects_like_whole_streams(tmp_path, block, mon
     summary = io.read_summary(out / "summary.json")
     for k, (label, tags, model, rng) in enumerate(zip(("herald", "hbt1", "hbt2"), streams,
                                                       models, rngs)):
-        expected = apply_detector(TagStream(k, tags, duration), model, rng).tags
+        expected = apply_detector(TagStream(tags, duration), model, rng).tags
         back = io.read_ptag(out / f"{label}.ptag")
-        assert back.channel == k
+        records = np.fromfile(out / f"{label}.ptag", io._RECORD_DTYPE, offset=io._HEADER_BYTES)
+        assert (records["channel"] == k).all()
         assert np.array_equal(back.tags, expected), label
         assert summary["counts"][label] == expected.size
         assert expected.size < tags.size  # the dead time removed some

@@ -44,31 +44,31 @@ from streams import chain_streams, pair_streams
 SEC = 10**12
 
 
-def poisson_stream(rate, duration, seed, channel=0):
+def poisson_stream(rate, duration, seed):
     rng = np.random.default_rng(seed)
     n = rng.poisson(rate * duration * 1e-12)
-    return TagStream(channel, np.sort(rng.integers(0, duration, n, dtype=np.int64)),
+    return TagStream(np.sort(rng.integers(0, duration, n, dtype=np.int64)),
                      duration)
 
 
 def test_cross_correlate_self():
     tags = np.arange(0, 10**7, 10**5, dtype=np.int64)  # spacing >> delay range
-    s = TagStream(0, tags, 10**7)
+    s = TagStream(tags, 10**7)
     h = cross_correlate(s, s, bin_width_ps=1000, delay_range_ps=10000)
     assert h.bins.sum() == h.bins[h.bins.size // 2] == tags.size
 
 
 def test_cross_correlate_shift():
     tags = np.arange(10**4, 10**7, 10**5, dtype=np.int64)
-    a = TagStream(0, tags, 10**7 + 10**4)
-    b = TagStream(1, tags + 3000, 10**7 + 10**4)
+    a = TagStream(tags, 10**7 + 10**4)
+    b = TagStream(tags + 3000, 10**7 + 10**4)
     h = cross_correlate(a, b, bin_width_ps=1000, delay_range_ps=10000)
     assert h.bins[h.bins.size // 2 + 3] == tags.size
     assert h.bins.sum() == tags.size
 
 
 def test_cross_correlate_empty():
-    a = TagStream(0, np.empty(0, dtype=np.int64), SEC)
+    a = TagStream(np.empty(0, dtype=np.int64), SEC)
     b = poisson_stream(1e4, SEC, 1)
     h = cross_correlate(a, b, 1000, 10000)
     assert h.bins.sum() == 0
@@ -86,8 +86,8 @@ def test_cross_correlate_accidental_floor():
 def test_two_pointer_equals_bruteforce():
     rng = np.random.default_rng(17)
     for trial in range(3):
-        a = TagStream(0, np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)), 10**9)
-        b = TagStream(1, np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)), 10**9)
+        a = TagStream(np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)), 10**9)
+        b = TagStream(np.sort(rng.integers(0, 10**9, 1000, dtype=np.int64)), 10**9)
         fast = cross_correlate(a, b, 1500, 90000)
         slow = cross_correlate_bruteforce(a, b, 1500, 90000)
         assert np.array_equal(fast.bins, slow.bins)
@@ -155,9 +155,9 @@ def test_fig5_rate_sweep_from_tags_fits_run_a():
 def perfect_heralded_streams(n=20000, seed=40):
     tags = np.arange(1, n + 1, dtype=np.int64) * 10**6
     duration = int(tags[-1] + 10**6)
-    herald = TagStream(0, tags, duration)
+    herald = TagStream(tags, duration)
     hbt1, hbt2 = hbt_split(tags, seed)
-    return herald, TagStream(1, hbt1, duration), TagStream(2, hbt2, duration)
+    return herald, TagStream(hbt1, duration), TagStream(hbt2, duration)
 
 
 def test_heralded_g2_perfect_singles_is_zero():
@@ -173,8 +173,8 @@ def test_heralded_g2_perfect_singles_is_zero():
 
 def test_heralded_g2_uncorrelated_is_one():
     herald = poisson_stream(1e4, SEC, 50)
-    hbt1 = poisson_stream(1e5, SEC, 51, channel=1)
-    hbt2 = poisson_stream(1e5, SEC, 52, channel=2)
+    hbt1 = poisson_stream(1e5, SEC, 51)
+    hbt2 = poisson_stream(1e5, SEC, 52)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=10**7)
     assert poisson_tail(res.histogram[res.m_values == 0][0], res.plateau) >= THREE_SIGMA_TAIL
     lo, hi = res.g2_zero_interval
@@ -194,12 +194,12 @@ def test_heralded_g2_sbr3_matches_eq5():
 
 def test_heralded_g2_time_reversal_mirror():
     herald = poisson_stream(2e4, SEC // 10, 60)
-    hbt1 = poisson_stream(1e5, SEC // 10, 61, channel=1)
-    hbt2 = poisson_stream(1e5, SEC // 10, 62, channel=2)
+    hbt1 = poisson_stream(1e5, SEC // 10, 61)
+    hbt2 = poisson_stream(1e5, SEC // 10, 62)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=10**6)
 
     def reverse(s):
-        return TagStream(s.channel, np.sort(s.duration_ps - s.tags), s.duration_ps)
+        return TagStream(np.sort(s.duration_ps - s.tags), s.duration_ps)
 
     rev = heralded_g2(reverse(herald), reverse(hbt1), reverse(hbt2), window_ps=10**6)
     assert np.array_equal(res.histogram, rev.histogram[::-1])
@@ -207,7 +207,7 @@ def test_heralded_g2_time_reversal_mirror():
 
 def test_heralded_g2_errors():
     herald = poisson_stream(1e4, SEC // 100, 70)
-    empty = TagStream(1, np.empty(0, dtype=np.int64), SEC // 100)
+    empty = TagStream(np.empty(0, dtype=np.int64), SEC // 100)
     with pytest.raises(AnalysisError):
         heralded_g2(herald, empty, empty, window_ps=1500)  # zero plateau
     with pytest.raises(AnalysisError):
@@ -215,8 +215,8 @@ def test_heralded_g2_errors():
 
 
 def test_gated_coincidences():
-    a = TagStream(0, np.array([1000, 5000], dtype=np.int64), 10**4)
-    b = TagStream(1, np.array([1100, 5600], dtype=np.int64), 10**4)
+    a = TagStream(np.array([1000, 5000], dtype=np.int64), 10**4)
+    b = TagStream(np.array([1100, 5600], dtype=np.int64), 10**4)
     assert gated_coincidences(a, b, gate_ps=10**4) == 4
     assert gated_coincidences(a, b, gate_ps=300) == 1
     assert gated_coincidences(a, b, gate_ps=0) == 0
@@ -288,7 +288,7 @@ def test_cross_correlate_equals_oracle(w, case):
         a, b = np.sort(a // 3), np.sort(b // 3 + span // 2)  # every b tag after every a tag
         if case == "b_before_a":
             a, b = b, a
-    sa, sb = TagStream(0, a, span), TagStream(1, b, span)
+    sa, sb = TagStream(a, span), TagStream(b, span)
     delay_range = 20 * w + w // 2
     fast = cross_correlate(sa, sb, w, delay_range)
     slow = cross_correlate_bruteforce(sa, sb, w, delay_range)
@@ -300,8 +300,8 @@ def test_cross_correlate_equals_oracle(w, case):
 
 def test_heralded_g2_histogram_equals_mask_loop():
     herald = poisson_stream(2e5, SEC // 100, 90)
-    hbt1 = poisson_stream(1e6, SEC // 100, 91, channel=1)
-    hbt2 = poisson_stream(1e6, SEC // 100, 92, channel=2)
+    hbt1 = poisson_stream(1e6, SEC // 100, 91)
+    hbt2 = poisson_stream(1e6, SEC // 100, 92)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
     f1 = window_flags_mask(herald.tags, hbt1, 100000.0)
     f2 = window_flags_mask(herald.tags, hbt2, 100000.0)
@@ -326,7 +326,7 @@ def streamed_flags(herald: np.ndarray, hbt: TagStream, half_window: float, block
 ], ids=["before_first", "tie_and_after_last", "duplicate_heralds", "one_herald"])
 def test_window_flags_equal_mask(herald, tags):
     herald = np.array(herald, dtype=np.int64)
-    stream = TagStream(1, np.array(tags, dtype=np.int64), 10**6)
+    stream = TagStream(np.array(tags, dtype=np.int64), 10**6)
     expected = np.flatnonzero(window_flags_mask(herald, stream, 50.0))
     for block in (1, 2, 3, 7, simkit._BLOCK):
         flagged = streamed_flags(herald, stream, 50.0, block)
@@ -337,13 +337,13 @@ def test_window_flags_equal_mask(herald, tags):
 def test_window_flags_equal_mask_across_blocks():
     # ten tags per herald: the same herald is nearest on both sides of block seams
     herald = poisson_stream(1e6, SEC // 100, 93)
-    hbt = poisson_stream(1e7, SEC // 100, 94, channel=1)
+    hbt = poisson_stream(1e7, SEC // 100, 94)
     for half_window in (100.0, 400.0, 10**6):
         expected = np.flatnonzero(window_flags_mask(herald.tags, hbt, half_window))
         for block in (7, 1000, simkit._BLOCK):
             assert np.array_equal(streamed_flags(herald.tags, hbt, half_window, block),
                                   expected)
-    empty = TagStream(1, np.empty(0, dtype=np.int64), SEC)
+    empty = TagStream(np.empty(0, dtype=np.int64), SEC)
     assert streamed_flags(herald.tags, empty, 100.0, 7).size == 0
 
 
@@ -356,16 +356,16 @@ SEAM_TAGS = [50, 150, 199, 200, 200, 201, 250, 300, 300, 350, 400, 1040, 4990, 5
 def test_heralded_g2_seams_equal_whole_stream_masks(block, monkeypatch):
     # duplicate heralds and ties on both sides of the seams, tags equal to a
     # block's last herald, and blocks of heralds that no tag comes near
-    herald = TagStream(0, np.array(SEAM_HERALDS, dtype=np.int64), 10**4)
-    tags = TagStream(1, np.array(SEAM_TAGS, dtype=np.int64), 10**4)
+    herald = TagStream(np.array(SEAM_HERALDS, dtype=np.int64), 10**4)
+    tags = TagStream(np.array(SEAM_TAGS, dtype=np.int64), 10**4)
     for half_window in (0.5, 10.0, 50.0, 60.0):
         expected = np.flatnonzero(window_flags_mask(herald.tags, tags, half_window))
         assert np.array_equal(streamed_flags(herald.tags, tags, half_window, block),
                               expected)
     # the whole estimator, fed through heralded_g2's own blocks
     herald = poisson_stream(2e5, SEC // 1000, 95)
-    hbt1 = poisson_stream(1e6, SEC // 1000, 96, channel=1)
-    hbt2 = poisson_stream(1e6, SEC // 1000, 97, channel=2)
+    hbt1 = poisson_stream(1e6, SEC // 1000, 96)
+    hbt2 = poisson_stream(1e6, SEC // 1000, 97)
     whole = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
     monkeypatch.setattr(simkit, "_BLOCK", block)
     res = heralded_g2(herald, hbt1, hbt2, window_ps=200000)
@@ -380,8 +380,8 @@ def test_heralded_g2_seams_equal_whole_stream_masks(block, monkeypatch):
 def test_cross_correlate_seams_equal_bruteforce(block, monkeypatch):
     # pairs that cross many seams: each tag of a reaches tags of b several blocks away
     rng = np.random.default_rng(block)
-    a = TagStream(0, np.sort(rng.integers(0, 10**5, 300, dtype=np.int64)), 10**5)
-    b = TagStream(1, np.sort(np.concatenate([rng.integers(0, 10**5, 200, dtype=np.int64),
+    a = TagStream(np.sort(rng.integers(0, 10**5, 300, dtype=np.int64)), 10**5)
+    b = TagStream(np.sort(np.concatenate([rng.integers(0, 10**5, 200, dtype=np.int64),
                                              a.tags[::5] + 1500])), 10**5 + 1500)
     monkeypatch.setattr(simkit, "_BLOCK", block)
     for x, y in ((a, b), (b, a)):
@@ -399,15 +399,15 @@ def test_gated_coincidences_equals_pair_count(gate, center):
                                 a[100:150] + center + gate // 2 + 1]))
     d = b[None, :] - a[:, None]
     expected = np.count_nonzero(np.abs(d - center) <= gate / 2)
-    n = gated_coincidences(TagStream(0, a, 10**4), TagStream(1, b, 10**4), gate, center)
+    n = gated_coincidences(TagStream(a, 10**4), TagStream(b, 10**4), gate, center)
     assert n == expected
 
 
 @pytest.mark.parametrize("t0", [0, 8 * 3600 * SEC], ids=["t0", "t8h"])
 def test_delay_queries_exact_beyond_2_53_ps(t0):
     # a pair 1 ps apart: float64 edges lose whole ps beyond 2^53 ps (about 2.5 h)
-    a = TagStream(0, np.array([t0], dtype=np.int64), t0 + 10)
-    b = TagStream(1, np.array([t0 + 1], dtype=np.int64), t0 + 10)
+    a = TagStream(np.array([t0], dtype=np.int64), t0 + 10)
+    b = TagStream(np.array([t0 + 1], dtype=np.int64), t0 + 10)
     assert gated_coincidences(a, b, gate_ps=1, center_ps=0) == 0
     assert gated_coincidences(a, b, gate_ps=1, center_ps=1) == 1
     h = cross_correlate(a, b, bin_width_ps=1, delay_range_ps=5)
