@@ -4,6 +4,7 @@ All timestamps are integer picoseconds.  Every operation takes an explicit
 seed (or numpy Generator) and is bit-for-bit reproducible.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,14 +236,27 @@ class Detector:
         return self._dead_time(held, owned=True)
 
     def _jitter(self, tags):
-        """Sorted tags + rint(N(0, sigma)), clipped to [0, duration], built block by block."""
+        """Sorted tags + rint(N(0, sigma)), clipped to [0, duration], built block by block.
+
+        A shift of the duration or more takes any tag to an end of the stream,
+        so the shifts saturate at the smallest float of at least the duration
+        before the int64 cast, and where a block's last tag plus that could
+        pass 2^63, each shift is first capped at its tag's room to the end.
+        The float cap is at most 2^63 - 1024, so with a duration closer to 2^63
+        than that, a tag within 1024 ps of 0 can saturate up to 1024 ps short.
+        """
+        duration = self.duration_ps
+        top = min(math.nextafter(float(duration), math.inf), 2.0**63 - 1024)
         out = np.empty(tags.size, dtype=np.int64)
         for part, block in zip(_blocks(out), _blocks(tags)):
             shift = self._rng.standard_normal(part.size)
             shift *= self.model.jitter_sigma_ps
+            np.clip(shift, -top, top, out=shift)
             part[...] = np.rint(shift, out=shift)
+            if int(block[-1]) + int(top) > np.iinfo(np.int64).max:
+                np.minimum(part, duration - block, out=part)
             part += block
-            np.clip(part, 0, self.duration_ps, out=part)
+            np.clip(part, 0, duration, out=part)
         out.sort(kind="stable")  # timsort: the tags were sorted before the shifts
         return out
 

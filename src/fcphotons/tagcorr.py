@@ -13,6 +13,8 @@ from .spectral import fringe_fit
 G2_MAX_SEPARATION = 50
 G2_PLATEAU_FROM = 10
 
+_INT64 = np.iinfo(np.int64)
+
 
 class AnalysisError(ValueError):
     pass
@@ -58,29 +60,45 @@ class SbrResult:
     sigma: float
 
 
+def _shifted(a: np.ndarray, shift: int) -> np.ndarray:
+    """a + shift for sorted a >= 0 and an int64 shift, a sum past the int64 range
+    clamped to its end; decided on a's last tag, so a sum in range costs no extra pass."""
+    if a.size and int(a[-1]) + shift > _INT64.max:
+        return np.minimum(a, _INT64.max - shift) + shift
+    return a + shift
+
+
 def _window(a: np.ndarray, b: np.ndarray, low: int, high: int):
-    """Per tag of a, the index range [lo, hi) of b with low <= b - a <= high."""
-    return (np.searchsorted(b, a + low, side="left"),
-            np.searchsorted(b, a + high, side="right"))
+    """Per tag of a, the index range [lo, hi) of b with low <= b - a <= high.
+
+    Exact for every a and b in [0, 2^63) and any integer bounds: b >= a + low
+    is searched as b > a + low - 1, and both ends are found by clamped sums.
+    """
+    lo, hi = (min(max(bound, _INT64.min), _INT64.max) for bound in (low - 1, high))
+    return (np.searchsorted(b, _shifted(a, lo), side="right"),
+            np.searchsorted(b, _shifted(a, hi), side="right"))
 
 
 def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
                      n_half: int) -> np.ndarray:
-    """Counts of the delays d = b[j] - a[i] in bins k = (2d + w) // (2w), |k| <= n_half.
+    """Counts of the delays d = b[j] - a[i] in bins k = floor(d / w + 1/2), |k| <= n_half.
 
     Single pass over sorted int64 tags: b is cut to the tags that some tag of
     a can reach, the window of each tag of the shorter stream holds every tag
     of the other within reach of the outermost bins, the pairs in it are
-    expanded into their delays and binned with bincount.  The scratch arrays
-    grow with the walked stream and its pairs, so callers bound them by
-    feeding a in blocks (CrossCorrelator).
+    expanded into their delays and binned with bincount.  With d = qw + r the
+    bin is q + (r >= w - r): (2d + w) // (2w) without the doubling, which
+    would overflow int64 for delays or widths of 2^62 ps and more.  The
+    scratch arrays grow with the walked stream and its pairs, so callers
+    bound them by feeding a in blocks (CrossCorrelator).
     """
     w = int(bin_width)
     reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
     nbins = 2 * n_half + 1
     if not a.size:
         return np.zeros(nbins, dtype=np.int64)
-    b = b[np.searchsorted(b, a[0] - reach):np.searchsorted(b, a[-1] + reach, side="right")]
+    lo, hi = _window(a[[0, -1]], b, -reach, reach)
+    b = b[lo[0]:hi[1]]
     sign = 1
     if b.size < a.size:  # walk the shorter stream: the same pairs from fewer windows
         a, b, sign = b, a, -1
@@ -90,7 +108,8 @@ def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
     lo -= np.cumsum(n) - n  # lo - first
     j = np.arange(n.sum()) + np.repeat(lo, n)
     d = sign * (b[j] - np.repeat(a, n))
-    return np.bincount((2 * d + w) // (2 * w) + n_half, minlength=nbins + 1)[:nbins]
+    q, r = np.divmod(d, w)
+    return np.bincount(q + (r >= w - r) + n_half, minlength=nbins + 1)[:nbins]
 
 
 class CrossCorrelator:

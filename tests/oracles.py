@@ -24,6 +24,26 @@ def cross_correlate_bruteforce(a: TagStream, b: TagStream, bin_width_ps: int,
     return CorrelationHistogram(bin_width_ps, bins)
 
 
+def delay_counts_exact(a: TagStream, b: TagStream, bin_width_ps: int,
+                       delay_range_ps: int) -> list[int]:
+    """cross_correlate's bins in Python ints, pair by pair: delay d in bin (2d + w) // (2w)."""
+    w, n_half = bin_width_ps, delay_range_ps // bin_width_ps
+    bins = [0] * (2 * n_half + 1)
+    for x in a.tags.tolist():
+        for y in b.tags.tolist():
+            k = (2 * (y - x) + w) // (2 * w)
+            if abs(k) <= n_half:
+                bins[k + n_half] += 1
+    return bins
+
+
+def gated_pairs_exact(a: TagStream, b: TagStream, gate_ps: int, center_ps: int) -> int:
+    """gated_coincidences in Python ints, pair by pair."""
+    half = gate_ps // 2
+    return sum(center_ps - half <= y - x <= center_ps + half
+               for x in a.tags.tolist() for y in b.tags.tolist())
+
+
 def pair_tags_oneshot(p: SourceParams, start_ps: int, stop_ps: int, rng):
     """simkit._pair_tags with the eta2 marks drawn in one rng.random(n) call."""
     rate = p.pair_rate_per_s

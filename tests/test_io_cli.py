@@ -18,7 +18,7 @@ from fcphotons.cli import main
 from fcphotons.scenario import FransonScanSettings, load_scenario
 from fcphotons.simkit import DetectorModel, SourceParams, TagStream
 from fcphotons.spectral import PhaseMatching, gaussian_spectrum
-from oracles import THREE_SIGMA_TAIL, poisson_tail
+from oracles import THREE_SIGMA_TAIL, delay_counts_exact, poisson_tail
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MINIMAL_SCENARIO = "[run]\nkind = g2_chain\nduration_ps = 1000\n[source]\npair_rate_per_s = 1e6\n"
@@ -351,6 +351,23 @@ def test_analyze_allocation_failure_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "ana"), "--delay-range-ps", str(2**63 - 1)])
     assert rc == 2
     assert "Unable to allocate" in capsys.readouterr().err
+
+
+def test_analyze_sbr_in_2_62_ps_bins(tmp_path):
+    # widths the CLI accepts, whose (2d + w) // (2w) binning would overflow int64
+    herald = TagStream(np.array([0, 10], dtype=np.int64), 10)
+    hbt = TagStream(np.array([5, 2**62 + 7], dtype=np.int64), 2**62 + 10)
+    io.write_ptag(tmp_path / "h.ptag", 0, herald)
+    io.write_ptag(tmp_path / "a.ptag", 1, hbt)
+    ana, w = tmp_path / "ana", str(2**62)
+    rc = main(["analyze", str(tmp_path / "h.ptag"), str(tmp_path / "a.ptag"), "--mode", "sbr",
+               "--out", str(ana), "--bin-ps", w, "--delay-range-ps", w,
+               "--background-exclusion-ps", str(3 * 10**18)])
+    assert rc == 0
+    counts = io.load_table(ana / "correlation.csv")[:, 1]
+    assert counts.tolist() == delay_counts_exact(herald, hbt, 2**62, 2**62) == [0, 2, 2]
+    res = io.read_summary(ana / "analysis.json")
+    assert (res["status"], res["background_per_bin"], res["sbr"]) == ("ok", 1.0, 1.0)
 
 
 def test_simulate_rejects_negative_seed_before_writing(tmp_path, capsys):

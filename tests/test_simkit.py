@@ -208,6 +208,19 @@ def test_detector_jitter_beyond_a_whole_block_is_an_error():
             det.feed(np.array([t], dtype=np.int64))
 
 
+@pytest.mark.parametrize("duration, sigma", [(10**6, 4e18), (2**62 + 1, 4e19),
+                                             (2**63 - 1025, 4e19)])
+def test_detector_jitter_beyond_the_stream_saturates_at_its_ends(duration, sigma):
+    # most shifts pass the stream, and many pass 2^63; ten ties at 0 need a shift
+    # of the whole duration to reach its end
+    tags = np.maximum(np.arange(1000, dtype=np.int64) - 9, 0) * (duration // 1000)
+    draws = np.random.default_rng(1).standard_normal(tags.size).tolist()
+    expected = sorted(min(max(t + int(np.rint(z * sigma)), 0), duration)
+                      for t, z in zip(tags.tolist(), draws))
+    jittered = apply_detector(TagStream(tags, duration), DetectorModel(sigma), 1).tags
+    assert jittered.tolist() == expected
+
+
 def test_detector_empty_pieces():
     model = DetectorModel(jitter_sigma_ps=50, dead_time_ps=200)
     tags = clustered_tags(4, 200)

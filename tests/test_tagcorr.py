@@ -35,6 +35,8 @@ from fcphotons.twophoton import pair_coherence
 from oracles import (
     THREE_SIGMA_TAIL,
     cross_correlate_bruteforce,
+    delay_counts_exact,
+    gated_pairs_exact,
     poisson_tail,
     separation_histogram_loop,
     window_flags_mask,
@@ -412,3 +414,33 @@ def test_delay_queries_exact_beyond_2_53_ps(t0):
     assert gated_coincidences(a, b, gate_ps=1, center_ps=1) == 1
     h = cross_correlate(a, b, bin_width_ps=1, delay_range_ps=5)
     assert h.bins[h.bins.size // 2 + 1] == 1 and h.bins.sum() == 1
+
+
+TOP = 2**63 - 1  # the largest int64 timestamp
+
+
+def _int64_end_stream(seed):
+    """Tags within 40 ps of both ends of the int64 range, ties and TOP itself included,
+    and within 2 ps of 2^61 and 2^62, whose delays land on the edges of 2^62 ps bins."""
+    rng = np.random.default_rng(seed)
+    tags = np.concatenate([rng.integers(0, 40, 4), 2**61 + rng.integers(-2, 3, 3),
+                           2**62 + rng.integers(-2, 3, 3), TOP - rng.integers(0, 40, 4), [TOP]])
+    return TagStream(np.sort(tags), TOP)
+
+
+@pytest.mark.parametrize("gate, center", [(20, 0), (2**40, 0), (2**62, 0), (2**63 - 1, 0),
+                                          (2**40, -25), (2**63 - 1, 2**62), (2**40, TOP - 20)])
+def test_gated_coincidences_exact_at_the_int64_end(gate, center):
+    a, b = _int64_end_stream(1), _int64_end_stream(2)
+    for x, y in ((a, b), (b, a)):
+        assert gated_coincidences(x, y, gate, center) == gated_pairs_exact(x, y, gate, center)
+
+
+@pytest.mark.parametrize("w, n_half", [(10, 10), (2**40 + 1, 5), (2**62, 1), (2**62 + 3, 1)])
+def test_cross_correlate_exact_at_the_int64_end(w, n_half, monkeypatch):
+    # blocks of 4 tags: the int64 end is passed in some blocks of a and not in others
+    monkeypatch.setattr(simkit, "_BLOCK", 4)
+    a, b = _int64_end_stream(3), _int64_end_stream(4)
+    for x, y in ((a, b), (b, a)):
+        bins = cross_correlate(x, y, w, n_half * w).bins
+        assert bins.tolist() == delay_counts_exact(x, y, w, n_half * w)
