@@ -10,6 +10,9 @@ golden.json records the numpy version it was made with.
 After a deliberate output change, or a numpy upgrade, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which keeps every stored value that the fresh one matches within these
+tolerances, so golden.json changes only where an output moved.
 """
 
 import hashlib
@@ -111,6 +114,33 @@ def run_all(root: Path) -> dict:
     return outputs
 
 
+def _column_atol(expected) -> float:
+    """A figure column's absolute tolerance: RTOL of its largest value."""
+    return RTOL * np.abs(expected).max()
+
+
+def merge(stored, fresh):
+    """fresh, with each value that matches its stored one within the test's
+    tolerances (floats at RTOL, figure columns at _column_atol) kept as stored."""
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        return {key: (_merge_columns if key == "columns" else merge)(stored[key], value)
+                if key in stored else value for key, value in fresh.items()}
+    if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
+        return [merge(s, f) for s, f in zip(stored, fresh)]
+    if isinstance(stored, float) and isinstance(fresh, float) and math.isclose(
+            fresh, stored, rel_tol=RTOL):
+        return stored
+    return fresh
+
+
+def _merge_columns(stored, fresh):
+    """fresh figure columns, each one that matches its stored one kept as stored."""
+    if len(stored) != len(fresh):
+        return fresh
+    return [s if len(s) == len(f) and np.allclose(f, s, rtol=RTOL, atol=_column_atol(s)) else f
+            for s, f in zip(stored, fresh)]
+
+
 def _close(actual, expected, where):
     """Assert two parsed JSON values equal, floats at RTOL."""
     if isinstance(expected, float) and isinstance(actual, float):
@@ -154,14 +184,31 @@ def test_fixed_seed_outputs_equal_golden(golden, outputs, run):
             assert len(got["columns"]) == len(want["columns"]), where
             for k, (a, e) in enumerate(zip(got["columns"], want["columns"])):
                 e = np.asarray(e)
-                np.testing.assert_allclose(a, e, rtol=RTOL, atol=RTOL * np.abs(e).max(),
+                np.testing.assert_allclose(a, e, rtol=RTOL, atol=_column_atol(e),
                                            err_msg=f"{where} column {k}; {RERECORD}")
         else:
             _close(got, want, where)
 
 
+def test_merge_keeps_only_the_stored_values_that_match():
+    stored = {"a.json": {"json": {"x": 1.0, "y": 2.0, "n": 3, "v": [1.0, 5.0]}},
+              "fig.csv": {"header": ["x,y"], "columns": [[0.0, 1e3], [1.0, 2.0]]},
+              "gone.ptag": {"sha256": "00"}}
+    fresh = {"a.json": {"json": {"x": 1.0 + 1e-13, "y": 2.0 + 1e-9, "n": 4, "v": [1.0, 5.0, 6.0]}},
+             "fig.csv": {"header": ["x,y"], "columns": [[1e-10, 1e3], [1.0, 2.0 + 1e-11]]},
+             "new.ptag": {"sha256": "11"}}
+    assert merge(stored, fresh) == {
+        "a.json": {"json": {"x": 1.0, "y": 2.0 + 1e-9, "n": 4, "v": [1.0, 5.0, 6.0]}},
+        # 1e-10 is within RTOL of the column's largest value, 1e3; 1e-11 is not of 2.0
+        "fig.csv": {"header": ["x,y"], "columns": [[0.0, 1e3], [1.0, 2.0 + 1e-11]]},
+        "new.ptag": {"sha256": "11"}}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {"numpy": np.__version__, "outputs": run_all(Path(tmp))}
+        outputs = run_all(Path(tmp))
+    if GOLDEN.exists():
+        outputs = merge(json.loads(GOLDEN.read_text(encoding="utf-8"))["outputs"], outputs)
+    recorded = {"numpy": np.__version__, "outputs": outputs}
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
