@@ -108,7 +108,8 @@ def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
     lo -= np.cumsum(n) - n  # lo - first
     j = np.arange(n.sum()) + np.repeat(lo, n)
     d = sign * (b[j] - np.repeat(a, n))
-    q, r = np.divmod(d, w)
+    q = d // w
+    r = d - q * w  # d mod w; exact where q * w wraps around int64, since r fits
     return np.bincount(q + (r >= w - r) + n_half, minlength=nbins + 1)[:nbins]
 
 

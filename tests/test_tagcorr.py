@@ -436,7 +436,8 @@ def test_gated_coincidences_exact_at_the_int64_end(gate, center):
         assert gated_coincidences(x, y, gate, center) == gated_pairs_exact(x, y, gate, center)
 
 
-@pytest.mark.parametrize("w, n_half", [(10, 10), (2**40 + 1, 5), (2**62, 1), (2**62 + 3, 1)])
+@pytest.mark.parametrize("w, n_half", [(10, 10), (2**40 + 1, 5), (2**62, 1), (2**62 + 3, 1),
+                                       (3 * 2**61, 1)])
 def test_cross_correlate_exact_at_the_int64_end(w, n_half, monkeypatch):
     # blocks of 4 tags: the int64 end is passed in some blocks of a and not in others
     monkeypatch.setattr(simkit, "_BLOCK", 4)
