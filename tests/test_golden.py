@@ -199,7 +199,7 @@ def test_merge_keeps_only_the_stored_values_that_match():
              "new.ptag": {"sha256": "11"}}
     assert merge(stored, fresh) == {
         "a.json": {"json": {"x": 1.0, "y": 2.0 + 1e-9, "n": 4, "v": [1.0, 5.0, 6.0]}},
-        # 1e-10 is within RTOL of the column's largest value, 1e3; 1e-11 is not of 2.0
+        # 1e-10 is within RTOL of its column's largest value, 1e3; 1e-11 exceeds RTOL of 2.0
         "fig.csv": {"header": ["x,y"], "columns": [[0.0, 1e3], [1.0, 2.0 + 1e-11]]},
         "new.ptag": {"sha256": "11"}}
 
