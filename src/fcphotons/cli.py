@@ -30,6 +30,7 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
             source, eta2=source.eta2 * scenario.qfc_efficiency,
             dark2_per_s=source.dark2_per_s + scenario.qfc_background_per_s)
     duration = scenario.duration_ps
+    os.makedirs(out_dir, exist_ok=True)
     files = {label: f"{label}.ptag" for label in ("herald", "hbt1", "hbt2")}
     hbt_parts = ([], [])
     with io.PtagWriter(os.path.join(out_dir, files["herald"]), 0, duration) as herald_out:
@@ -62,9 +63,14 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
 
 def _simulate_franson(scenario: Scenario, out_dir, seed):
     fr = scenario.franson
+    pc = twophoton.converted_pair_coherence(scenario.source_spectrum(), scenario.phase_matching)
+    lo, hi = pc.dtau_grid[0], pc.dtau_grid[-1]
+    if not lo <= fr.delay_imbalance_ps <= hi:
+        raise CliError(f"franson.delay_imbalance_ps = {fr.delay_imbalance_ps} lies outside "
+                       f"[{lo:g}, {hi:g}] ps, where the converted pair coherence is tabulated")
+    os.makedirs(out_dir, exist_ok=True)
     cfg = simkit.FransonMcConfig(
-        pc=twophoton.converted_pair_coherence(scenario.source_spectrum(),
-                                              scenario.phase_matching),
+        pc=pc,
         delay_ps=fr.delay_ps,
         delay_imbalance_ps=fr.delay_imbalance_ps,
         v_app=fr.v_mi * fr.v_mzi,
@@ -92,7 +98,6 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
         "seed": seed,
         "delay_ps": fr.delay_ps,
         "delay_imbalance_ps": fr.delay_imbalance_ps,
-        "gate_ps": scenario.gate_ps,
         "configured_visibility": cfg.visibility,
         "scan": files,
     }
@@ -102,7 +107,6 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
 
 def cmd_simulate(args):
     scenario = load_scenario(args.scenario)
-    os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else scenario.seed
     if scenario.kind == "g2_chain":
         _simulate_g2_chain(scenario, args.out, seed)
@@ -175,10 +179,6 @@ def _analyze_franson(args, out_dir) -> dict:
     run = io.read_summary(summary_path)
     if not isinstance(run, dict) or run.get("kind") != "franson":
         raise CliError(f"{summary_path}: not a franson run")
-    gate = args.gate_ps or run.get("gate_ps")
-    if isinstance(gate, bool) or not isinstance(gate, int) or not 0 < gate < 2**63:
-        raise CliError(f"{summary_path}: gate_ps {gate!r} is not a positive integer of ps "
-                       "below 2^63; give --gate-ps")
     scan = run.get("scan")
     if not isinstance(scan, list) or not all(
             isinstance(e, dict) and {"phase_rad", "a", "b"} <= e.keys()
@@ -192,7 +192,7 @@ def _analyze_franson(args, out_dir) -> dict:
     for entry in scan:
         a = io.read_ptag(os.path.join(run_dir, entry["a"]))
         b = io.read_ptag(os.path.join(run_dir, entry["b"]))
-        scans.append((entry["phase_rad"], tagcorr.gated_coincidences(a, b, gate)))
+        scans.append((entry["phase_rad"], tagcorr.gated_coincidences(a, b, args.gate_ps)))
     vis, sigma = tagcorr.franson_visibility_scan(scans)
     bell = twophoton.bell_check(vis, max(sigma, 1e-12))
     io.save_curve(os.path.join(out_dir, "franson_scan.csv"),
@@ -200,7 +200,7 @@ def _analyze_franson(args, out_dir) -> dict:
                   ("phase_rad", "gated_counts"))
     return {
         "status": "ok",
-        "gate_ps": gate,
+        "gate_ps": args.gate_ps,
         "visibility": vis,
         "sigma": sigma,
         "gated_coincidences": sum(c for _, c in scans),
@@ -352,10 +352,10 @@ def build_parser():
                         "franson: simulate output dir)")
     p.add_argument("--mode", choices=ANALYZE_MODES, default="g2")
     p.add_argument("--out", required=True)
-    # 0 for --bin-ps / --gate-ps means the window width / the run's gate
+    # 0 for --bin-ps means the window width
     p.add_argument("--bin-ps", type=_positive_int, default=0, dest="bin_ps")
-    p.add_argument("--gate-ps", type=_positive_int, default=0, dest="gate_ps")
     p.add_argument("--window-ps", type=_positive_int, default=1500, dest="window_ps")
+    p.add_argument("--gate-ps", type=_positive_int, default=512, dest="gate_ps")
     p.add_argument("--delay-range-ps", type=_positive_int, default=150000,
                    dest="delay_range_ps")
     p.add_argument("--background-exclusion-ps", type=_positive_int, default=15000,

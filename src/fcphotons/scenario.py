@@ -55,7 +55,6 @@ class Scenario:
     spectrum_file: str | None = None
     phase_matching: PhaseMatching | None = None
     franson: FransonScanSettings | None = None
-    gate_ps: int | None = None
 
     def source_spectrum(self) -> Spectrum:
         if self.spectrum_file is not None:
@@ -104,9 +103,9 @@ def load_scenario(path) -> Scenario:
     with no default is a required key.  A g2_chain scenario reads [run],
     [source], an optional [qfc] and the detectors.  A franson scenario reads
     [run], the detectors, [spectrum] (exactly one of file and
-    gaussian_fwhm_ghz), [phase_matching] (fwhm_ghz required), every key of
-    [franson] and [analysis] gate_ps.  A key that nothing reads, in any
-    section, is an error, as is a *_ps value of magnitude 2^63 or more.
+    gaussian_fwhm_ghz), [phase_matching] (fwhm_ghz required) and every key
+    of [franson].  A key that nothing reads, in any section, is an error, as
+    is a *_ps value of magnitude 2^63 or more.
     """
     path = _resolve(path)
     # no key interpolates, so a % in a value is literal
@@ -181,12 +180,9 @@ def load_scenario(path) -> Scenario:
             spectrum_file = os.path.join(os.path.dirname(os.path.abspath(path)), spectrum_file)
             if not os.path.exists(spectrum_file):
                 raise ScenarioError(f"{path}: spectrum.file {spectrum_file!r} does not exist")
-        gate_ps = get("analysis", "gate_ps", _to_int)
-        if gate_ps <= 0:
-            raise ScenarioError(f"{path}: analysis.gate_ps must be positive")
         scenario = Scenario(**common, spectrum_fwhm_ghz=fwhm, spectrum_file=spectrum_file,
                             phase_matching=build(PhaseMatching, "phase_matching"),
-                            franson=build(FransonScanSettings, "franson"), gate_ps=gate_ps)
+                            franson=build(FransonScanSettings, "franson"))
 
     for section in parser.sections():
         for key in parser.options(section):

@@ -242,21 +242,27 @@ class Detector:
         so the shifts saturate at the smallest float of at least the duration
         before the int64 cast, and where a block's last tag plus that could
         pass 2^63, each shift is first capped at its tag's room to the end.
-        The float cap is at most 2^63 - 1024, so with a duration closer to 2^63
-        than that, a tag within 1024 ps of 0 can saturate up to 1024 ps short.
+        No float lies between 2^63 - 1024, the largest cap, and 2^63, so with
+        a duration above that cap a shift of 2^63 or more in magnitude sends
+        its tag to the matching end directly.
         """
         duration = self.duration_ps
         top = min(math.nextafter(float(duration), math.inf), 2.0**63 - 1024)
+        beyond = top < duration  # a saturated shift can fall short of an end
         out = np.empty(tags.size, dtype=np.int64)
         for part, block in zip(_blocks(out), _blocks(tags)):
             shift = self._rng.standard_normal(part.size)
             shift *= self.model.jitter_sigma_ps
+            if beyond:
+                up, down = shift >= 2.0**63, shift <= -2.0**63
             np.clip(shift, -top, top, out=shift)
             part[...] = np.rint(shift, out=shift)
             if int(block[-1]) + int(top) > np.iinfo(np.int64).max:
                 np.minimum(part, duration - block, out=part)
             part += block
             np.clip(part, 0, duration, out=part)
+            if beyond:
+                part[up], part[down] = duration, 0
         out.sort(kind="stable")  # timsort: the tags were sorted before the shifts
         return out
 

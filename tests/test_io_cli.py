@@ -25,8 +25,7 @@ MINIMAL_SCENARIO = "[run]\nkind = g2_chain\nduration_ps = 1000\n[source]\npair_r
 MINIMAL_FRANSON = ("[run]\nkind = franson\nduration_ps = 1000\n"
                    "[spectrum]\ngaussian_fwhm_ghz = 173\n[phase_matching]\nfwhm_ghz = 118\n"
                    "[franson]\ndelay_ps = 1140\ndelay_imbalance_ps = 0\nv_mi = 0.88\n"
-                   "v_mzi = 0.95\nphase_points = 12\npairs_per_point = 5000\n"
-                   "[analysis]\ngate_ps = 512\n")
+                   "v_mzi = 0.95\nphase_points = 12\npairs_per_point = 5000\n")
 # a source that draws no tag, so a run of any duration is quick
 EMPTY_SOURCE = MINIMAL_SCENARIO.replace("pair_rate_per_s = 1e6", "pair_rate_per_s = 0")
 WIDTH_FLAGS = ("--bin-ps", "--gate-ps", "--window-ps", "--delay-range-ps",
@@ -394,7 +393,37 @@ def test_simulate_and_analyze_franson(tmp_path):
     assert res["status"] == "ok"
     assert abs(res["visibility"] - configured) < 3 * res["sigma"]
     assert res["bell_violation_sigmas"] > 0
+    assert res["gate_ps"] == 512 and "gate_ps" not in summary
 
+
+def test_analyze_franson_gate_is_an_analyze_default(tmp_path):
+    # the summary names no gate; the default 512 ps gate counts pairs 256 ps apart
+    # and not those 257 ps apart
+    counts = [10 + round(8 * np.cos(k * np.pi / 4)) for k in range(8)]
+    scan = []
+    for k, n in enumerate(counts):
+        a = np.arange(20, dtype=np.int64) * 10**4
+        b = a + np.where(np.arange(20) < n, 256, 257)
+        for label, tags in (("a", a), ("b", b)):
+            io.write_ptag(tmp_path / f"{label}{k}.ptag", 0, TagStream(tags, 2 * 10**5))
+        scan.append({"phase_rad": k * np.pi / 4, "a": f"a{k}.ptag", "b": f"b{k}.ptag"})
+    io.write_summary(tmp_path / "summary.json", {"kind": "franson", "scan": scan})
+    ana = tmp_path / "ana"
+    assert main(["analyze", str(tmp_path), "--mode", "franson", "--out", str(ana)]) == 0
+    res = io.read_summary(ana / "analysis.json")
+    assert (res["status"], res["gate_ps"], res["gated_coincidences"]) == ("ok", 512, sum(counts))
+    assert io.load_table(ana / "franson_scan.csv")[:, 1].tolist() == counts
+
+
+def test_simulate_franson_imbalance_outside_the_pair_coherence(tmp_path, capsys):
+    # the converted pair coherence is tabulated on +-80 ps
+    sc = tmp_path / "scenario.ini"
+    sc.write_text(MINIMAL_FRANSON.replace("delay_imbalance_ps = 0", "delay_imbalance_ps = 100"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "franson.delay_imbalance_ps = 100" in err and "[-80, 80] ps" in err
+    assert not out.exists()
 
 
 SCAN_ENTRY = {"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}
@@ -405,25 +434,19 @@ def scan_with_phase(phase):
     return [{**SCAN_ENTRY, "phase_rad": phase if k == 3 else k * np.pi / 4} for k in range(8)]
 
 
+# gate_ps, which summaries of older runs carry, is ignored: the gate is an analyze option
 @pytest.mark.parametrize("summary", [
     {"kind": "franson"},
     {"kind": "franson", "gate_ps": 512},
     {"kind": "franson", "gate_ps": 512, "scan": {"a": "x.ptag"}},
     {"kind": "franson", "gate_ps": 512, "scan": [{"phase_rad": 0.0, "a": "x.ptag"}]},
-    {"kind": "franson", "scan": [{"phase_rad": 0.0, "a": "x.ptag", "b": "y.ptag"}]},
     ["franson"],
-    {"kind": "franson", "gate_ps": "512", "scan": [SCAN_ENTRY]},
-    {"kind": "franson", "gate_ps": -5, "scan": [SCAN_ENTRY]},
-    {"kind": "franson", "gate_ps": True, "scan": [SCAN_ENTRY]},
-    {"kind": "franson", "gate_ps": 512.0, "scan": [SCAN_ENTRY]},
-    {"kind": "franson", "gate_ps": 2**63, "scan": [SCAN_ENTRY]},
     {"kind": "franson", "gate_ps": 512, "scan": [{**SCAN_ENTRY, "a": 0}]},
     {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(True)},
     {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(None)},
     {"kind": "franson", "gate_ps": 512, "scan": scan_with_phase(float("inf"))},
-], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "no_gate", "not_object",
-        "gate_string", "gate_negative", "gate_bool", "gate_float", "gate_2_63", "file_not_string",
-        "phase_bool", "phase_null", "phase_inf"])
+], ids=["kind_only", "no_scan", "scan_not_list", "entry_without_b", "not_object",
+        "file_not_string", "phase_bool", "phase_null", "phase_inf"])
 def test_analyze_franson_incomplete_summary(tmp_path, summary, capsys):
     # empty tag files stand by, so only the summary's own defects can fail the run
     for name in ("x.ptag", "y.ptag"):
@@ -597,13 +620,12 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "bad value for detector_herald.jitter_sigma_ps: 'nan'"),
     (MINIMAL_SCENARIO.replace("duration_ps = 1000", "duration_ps = inf"),
      "bad value for run.duration_ps: 'inf'"),
-    (MINIMAL_FRANSON.replace("gate_ps = 512", "gate_ps = -4"),
-     "analysis.gate_ps must be positive"),
     (MINIMAL_FRANSON.replace("phase_points = 12", "phase_points = 16.7"),
      "bad value for franson.phase_points: '16.7'"),
     (MINIMAL_FRANSON.replace("phase_points = 12", "phase_points = 12.0"), None),
     (MINIMAL_SCENARIO + "[franson]\nv_mi = 0.5\n", "unknown key franson.v_mi"),
     (MINIMAL_SCENARIO + "[analysis]\ngate_ps = 7\n", "unknown key analysis.gate_ps"),
+    (MINIMAL_FRANSON + "[analysis]\ngate_ps = 512\n", "unknown key analysis.gate_ps"),
     (MINIMAL_FRANSON + "[qfc]\nefficiency = 0.5\n", "unknown key qfc.efficiency"),
     (MINIMAL_FRANSON.replace("[spectrum]\n", "[spectrum]\nfile = line.csv\n"),
      "[spectrum] must set exactly one of file and gaussian_fwhm_ghz"),
@@ -611,7 +633,6 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "[spectrum] must set exactly one of file and gaussian_fwhm_ghz"),
     (MINIMAL_FRANSON.replace("phase_points = 12\n", ""), "missing key franson.phase_points"),
     (MINIMAL_FRANSON.replace("fwhm_ghz = 118\n", ""), "missing key phase_matching.fwhm_ghz"),
-    (MINIMAL_FRANSON.replace("gate_ps = 512\n", ""), "missing key analysis.gate_ps"),
     (MINIMAL_FRANSON.replace("gaussian_fwhm_ghz = 173", "file = nan_line.csv"),
      "nan_line.csv: non-finite value"),
     (MINIMAL_SCENARIO + "[run]\nseed = 3\n", "section 'run' already exists"),
@@ -643,10 +664,10 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "detector_herald.jitter_sigma_ps = '1e300' is not below 2^63 ps"),
 ], ids=["g2_chain_by_name", "franson_by_name", "minimal_defaults", "unknown_key",
         "missing_pair_rate", "bad_value", "franson_without_source", "franson_with_source",
-        "negative_qfc_background", "jitter_nan", "duration_inf", "gate_nonpositive",
+        "negative_qfc_background", "jitter_nan", "duration_inf",
         "int_key_fractional", "int_key_integral_float", "g2_chain_with_franson",
-        "g2_chain_with_analysis", "franson_with_qfc", "spectrum_both", "spectrum_neither",
-        "missing_phase_points", "missing_pm_fwhm", "missing_gate", "spectrum_nan",
+        "g2_chain_with_analysis", "franson_with_analysis", "franson_with_qfc", "spectrum_both",
+        "spectrum_neither", "missing_phase_points", "missing_pm_fwhm", "spectrum_nan",
         "section_twice", "key_twice", "key_before_section", "lone_percent",
         "percent_in_name", "delay_zero", "v_mi_above_one", "phase_points_negative",
         "pairs_per_point_negative", "seed_negative", "seed_float_form", "duration_2_63",
@@ -677,14 +698,14 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
     if loaded.kind == "g2_chain":
         assert loaded.source == SourceParams(pair_rate_per_s=1e6)
         assert (loaded.qfc_efficiency, loaded.qfc_background_per_s) == (None, 0.0)
-        assert loaded.franson is loaded.phase_matching is loaded.gate_ps is None
+        assert loaded.franson is loaded.phase_matching is None
         assert loaded.spectrum_fwhm_ghz is loaded.spectrum_file is None
     else:
         assert loaded.source is loaded.qfc_efficiency is loaded.qfc_background_per_s is None
         assert loaded.phase_matching == PhaseMatching(fwhm_ghz=118.0)
         assert loaded.franson == FransonScanSettings(1140, 0, 0.88, 0.95, 12, 5000)
         assert loaded.spectrum_file is None
-        assert (loaded.spectrum_fwhm_ghz, loaded.gate_ps) == (173.0, 512)
+        assert loaded.spectrum_fwhm_ghz == 173.0
 
 
 @pytest.mark.parametrize("raw, value", [("9007199254740993", 2**53 + 1), ("1e6", 10**6)])

@@ -221,6 +221,21 @@ def test_detector_jitter_beyond_the_stream_saturates_at_its_ends(duration, sigma
     assert jittered.tolist() == expected
 
 
+@pytest.mark.parametrize("duration", [2**63 - 1, 2**63 - 1023])
+@pytest.mark.parametrize("sigma", [4e19, 1e300])
+def test_detector_jitter_exact_within_1024_ps_of_2_63(duration, sigma):
+    # no float lies between 2^63 - 1024 and 2^63: a shift of 2^63 or more must still
+    # take a tag near 0 to the end, and one of -2^63 or less a tag near the end to 0
+    tags = np.sort(np.array([0, 1, 5, duration - 5, duration - 1, duration] * 50,
+                            dtype=np.int64))
+    draws = np.random.default_rng(7).standard_normal(tags.size).tolist()
+    expected = sorted(min(max(t + int(np.rint(z * sigma)), 0), duration)
+                      for t, z in zip(tags.tolist(), draws))
+    det = Detector(DetectorModel(sigma), duration, 7)
+    jittered = np.concatenate((det.feed(tags), det.close()))
+    assert jittered.tolist() == expected
+
+
 def test_detector_empty_pieces():
     model = DetectorModel(jitter_sigma_ps=50, dead_time_ps=200)
     tags = clustered_tags(4, 200)
