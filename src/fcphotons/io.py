@@ -159,7 +159,7 @@ class PtagReader(_PtagFile):
             records = buf[:min(size, n - start)]
             if self._fh.readinto(records) != records.nbytes:
                 raise FileFormatError(f"{path}: file shrank while being read")
-            channels = records["channel"]
+            channels = records["channel"].copy()  # a strided field compares slower
             if start == 0:
                 channel = channels[0]
             if (channels != channel).any():

@@ -270,10 +270,12 @@ class Detector:
         """The sorted tags at least the dead time after the last kept one.
 
         A tag at least the dead time after its predecessor is kept whatever
-        came before, so the sequential rule only runs on the closer tags.
-        Each block of _BLOCK tags runs against the last tag kept so far; kept
-        tags are packed at the front of tags itself when the detector owns
-        it, else of a new array.
+        came before, so only the closer tags can go: a close tag between two
+        far ones goes at once, as its predecessor is kept, and the sequential
+        rule runs on the runs of two or more close tags.  Each block of _BLOCK
+        tags runs against the last tag kept so far; kept tags are packed at
+        the front of tags itself when the detector owns it, else of a new
+        array.
         """
         dead = self.model.dead_time_ps
         if dead <= 0 or not tags.size:
@@ -286,6 +288,11 @@ class Detector:
             if last is not None and part[0] - last < dead:
                 close = np.concatenate(([0], close))  # tag 0 joins the last kept tag's cluster
             keep = np.ones(part.size, dtype=bool)
+            # prepend -2: a close tag 0 follows the last kept tag, so it can be alone too
+            steps = np.diff(close, prepend=-2, append=part.size + 1) != 1
+            alone = steps[:-1] & steps[1:]
+            keep[close[alone]] = False
+            close = close[~alone]
             # part[close - 1] reads part[-1] for i = 0, which the last kept tag replaces
             for i, t, t_before in zip(close.tolist(), part[close].tolist(),
                                       part[close - 1].tolist()):
@@ -365,7 +372,7 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
         raise SimError("franson_sample: delayed and jittered tags would reach 2^63 ps")
     t_a = pair_times + np.where(long_a, d_a, 0)
     t_b = pair_times + np.where(long_b, d_b, 0)
-    t_a.sort()
-    t_b.sort()
+    t_a.sort(kind="stable")  # timsort: sorted pair times plus a 0 or D shift
+    t_b.sort(kind="stable")
     return (apply_detector(TagStream(t_a, duration), cfg.detector_a, rng),
             apply_detector(TagStream(t_b, duration), cfg.detector_b, rng))

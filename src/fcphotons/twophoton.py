@@ -25,7 +25,8 @@ class PairCoherence:
     def at(self, dtau: float) -> float:
         """F at an arbitrary imbalance, by linear interpolation."""
         if dtau < self.dtau_grid[0] or dtau > self.dtau_grid[-1]:
-            raise SpectralError("PairCoherence: dtau outside tabulated grid")
+            raise SpectralError(f"PairCoherence: dtau = {dtau:g} ps outside the tabulated grid "
+                                f"[{self.dtau_grid[0]:g}, {self.dtau_grid[-1]:g}] ps")
         return float(np.interp(dtau, self.dtau_grid, self.f_value))
 
 

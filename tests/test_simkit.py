@@ -20,7 +20,7 @@ from fcphotons.simkit import (
     franson_sample,
     hbt_split,
 )
-from fcphotons.spectral import coherence_envelope, gaussian_spectrum
+from fcphotons.spectral import SpectralError, coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import gated_coincidences
 from fcphotons.twophoton import PairCoherence, pair_coherence
 from oracles import dead_time_loop, hbt_split_oneshot, pair_tags_oneshot
@@ -157,6 +157,17 @@ def clustered_tags(seed, dead):
     return np.cumsum(np.concatenate([gaps[:300], chain, gaps[300:]])).astype(np.int64)
 
 
+def isolated_pairs(dead):
+    """Close pairs, 0, 1 and dead - 1 apart, each at least the dead time after the last."""
+    firsts = np.arange(300, dtype=np.int64) * (2 * dead + 1)
+    return np.sort(np.concatenate([firsts, firsts + np.resize([0, 1, dead - 1], firsts.size)]))
+
+
+def saturated_tags(seed, dead):
+    """Sorted tags with every gap below the dead time."""
+    return np.cumsum(np.random.default_rng(seed).integers(0, dead, 600))
+
+
 def feed_in_pieces(det, tags, piece):
     """Everything the detector gives out when fed tags in pieces of piece tags."""
     out = [det.feed(tags[start:start + piece]) for start in range(0, tags.size, piece)]
@@ -166,16 +177,21 @@ def feed_in_pieces(det, tags, piece):
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_detector_dead_time_carried_across_seams(block, monkeypatch):
     monkeypatch.setattr(simkit, "_BLOCK", block)  # the seams inside one feed too
+    # with only isolated close pairs, pieces of one tag put each pair's second tag
+    # first in a piece, within the dead time of the last kept tag; with every gap
+    # below the dead time, the whole stream is one run of close tags
     for seed in range(3):
         dead = 10 + seed
-        tags = clustered_tags(seed, dead)
-        expected = dead_time_loop(tags, dead)
         model = DetectorModel(dead_time_ps=dead)
-        for piece in (1, 2, 5, 64, tags.size):
-            out = feed_in_pieces(Detector(model, int(tags[-1]), seed), tags, piece)
-            assert np.array_equal(out, expected), (seed, piece)
-        whole = apply_detector(TagStream(tags, int(tags[-1])), model, seed)
-        assert np.array_equal(whole.tags, expected)
+        for name, tags in (("clustered", clustered_tags(seed, dead)),
+                           ("isolated pairs", isolated_pairs(dead)),
+                           ("saturated", saturated_tags(seed, dead))):
+            expected = dead_time_loop(tags, dead)
+            for piece in (1, 2, 5, 64, tags.size):
+                out = feed_in_pieces(Detector(model, int(tags[-1]), seed), tags, piece)
+                assert np.array_equal(out, expected), (seed, name, piece)
+            whole = apply_detector(TagStream(tags, int(tags[-1])), model, seed)
+            assert np.array_equal(whole.tags, expected), (seed, name)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -439,6 +455,13 @@ def test_franson_sample_refuses_tags_at_2_63_ps():
     cfg = FransonMcConfig(pc=flat_pc(1.0), delay_ps=2**63 - 1)
     with pytest.raises(SimError, match=r"would reach 2\^63 ps"):
         franson_sample(np.array([0, 10], dtype=np.int64), cfg, 1)
+
+
+def test_franson_imbalance_outside_the_pair_coherence_names_it_and_the_grid():
+    env = coherence_envelope(gaussian_spectrum(173.0), 40.0, 2001)
+    cfg = FransonMcConfig(pc=pair_coherence(env, env), delay_ps=1140, delay_imbalance_ps=100)
+    with pytest.raises(SpectralError, match=r"dtau = 100 ps outside .* \[-80, 80\] ps"):
+        cfg.visibility
 
 
 def test_franson_three_peaks():
