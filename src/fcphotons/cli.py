@@ -47,18 +47,13 @@ def _simulate_g2_chain(scenario: Scenario, out_dir, seed):
                       simkit.TagStream(tags, duration))
         counts[label] = tags.size
         del tags  # one whole HBT stream in memory at a time
-    summary = {
-        "kind": "g2_chain",
-        "name": scenario.name,
-        "seed": seed,
+    return {
         "duration_ps": duration,
         "files": files,
         "counts": counts,
         "rates_per_s": {label: n / (duration * 1e-12) if duration else 0.0
                         for label, n in counts.items()},
     }
-    io.write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return summary
 
 
 def _simulate_franson(scenario: Scenario, out_dir, seed):
@@ -68,15 +63,8 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
     if not lo <= fr.delay_imbalance_ps <= hi:
         raise CliError(f"franson.delay_imbalance_ps = {fr.delay_imbalance_ps} lies outside "
                        f"[{lo:g}, {hi:g}] ps, where the converted pair coherence is tabulated")
+    visibility = fr.v_mi * fr.v_mzi * pc.at(float(fr.delay_imbalance_ps))
     os.makedirs(out_dir, exist_ok=True)
-    cfg = simkit.FransonMcConfig(
-        pc=pc,
-        delay_ps=fr.delay_ps,
-        delay_imbalance_ps=fr.delay_imbalance_ps,
-        v_app=fr.v_mi * fr.v_mzi,
-        detector_a=scenario.detector_herald,
-        detector_b=scenario.detector_signal,
-    )
     rng = np.random.default_rng(seed)
     files = []
     for k, phi in enumerate(np.linspace(0.0, 2.0 * np.pi, fr.phase_points, endpoint=False)):
@@ -86,32 +74,29 @@ def _simulate_franson(scenario: Scenario, out_dir, seed):
                                               dtype=np.int64))
         else:
             pair_times = np.empty(0, dtype=np.int64)
-        a, b = simkit.franson_sample(pair_times, dataclasses.replace(cfg, phase_rad=float(phi)),
-                                     rng)
+        a, b = simkit.franson_sample(
+            pair_times, fr.delay_ps, visibility, rng, delay_imbalance_ps=fr.delay_imbalance_ps,
+            phase_rad=float(phi), detector_a=scenario.detector_herald,
+            detector_b=scenario.detector_signal)
         fa, fb = f"franson_a_{k:03d}.ptag", f"franson_b_{k:03d}.ptag"
         io.write_ptag(os.path.join(out_dir, fa), 0, a)
         io.write_ptag(os.path.join(out_dir, fb), 1, b)
         files.append({"phase_rad": float(phi), "a": fa, "b": fb})
-    summary = {
-        "kind": "franson",
-        "name": scenario.name,
-        "seed": seed,
+    return {
         "delay_ps": fr.delay_ps,
         "delay_imbalance_ps": fr.delay_imbalance_ps,
-        "configured_visibility": cfg.visibility,
+        "configured_visibility": visibility,
         "scan": files,
     }
-    io.write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return summary
 
 
 def cmd_simulate(args):
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
-    if scenario.kind == "g2_chain":
-        _simulate_g2_chain(scenario, args.out, seed)
-    else:
-        _simulate_franson(scenario, args.out, seed)
+    simulate = _simulate_g2_chain if scenario.kind == "g2_chain" else _simulate_franson
+    summary = simulate(scenario, args.out, seed)
+    summary.update(kind=scenario.kind, name=scenario.name, seed=seed)
+    io.write_summary(os.path.join(args.out, "summary.json"), summary)
     return 0
 
 

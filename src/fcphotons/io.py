@@ -43,13 +43,13 @@ def save_curve(path, x, y, names=("x", "y"), comment: str = "") -> None:
 def load_table(path) -> np.ndarray:
     """Numeric rows of a comma-separated text file as a 2-D float array.
 
-    Blank lines, '#' comments and rows ahead of the first numeric row (a
-    column header) are skipped; a later row that does not parse as numbers is
-    an error.  Every numeric row must have the same width, and every value
-    must be finite.
+    A leading byte-order mark, blank lines, '#' comments and rows ahead of
+    the first numeric row with no numeric field (a column header) are
+    skipped; any other row that does not parse as numbers is an error.  Every
+    numeric row must have the same width, and every value must be finite.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -57,7 +57,7 @@ def load_table(path) -> np.ndarray:
             try:
                 rows.append([float(p) for p in line.split(",")])
             except ValueError:
-                if rows:
+                if rows or any(_is_number(p) for p in line.split(",")):
                     raise FileFormatError(f"{path}: non-numeric data row {line!r}") from None
                 # a header line
     if not rows:
@@ -68,6 +68,14 @@ def load_table(path) -> np.ndarray:
     if not np.isfinite(table).all():
         raise FileFormatError(f"{path}: non-finite value (nan or inf)")
     return table
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 class _PtagFile:

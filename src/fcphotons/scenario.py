@@ -111,7 +111,7 @@ def load_scenario(path) -> Scenario:
     # no key interpolates, so a % in a value is literal
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        found = parser.read(path, encoding="utf-8")
+        found = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:  # a repeated section or key, a key before any section
         raise ScenarioError(f"{path}: malformed scenario file: {exc}") from exc
     if not found:

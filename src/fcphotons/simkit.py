@@ -5,12 +5,12 @@ seed (or numpy Generator) and is bit-for-bit reproducible.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import singles_rate
-from .twophoton import PairCoherence, coincidence_rate
+from .twophoton import coincidence_rate
 
 MAX_EXPECTED_COUNTS = 2**31
 
@@ -99,30 +99,6 @@ def _unsorted(tags: np.ndarray) -> bool:
         if np.any(tags[start:stop] < tags[start - 1:stop - 1]):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class FransonMcConfig:
-    """One Franson run: imbalance, interferometer delay, phase, pair coherence."""
-
-    pc: PairCoherence
-    delay_ps: int
-    delay_imbalance_ps: int = 0
-    phase_rad: float = 0.0
-    v_app: float = 1.0  # apparatus visibility ceiling (v_mi * v_mzi)
-    detector_a: DetectorModel = field(default_factory=DetectorModel)
-    detector_b: DetectorModel = field(default_factory=DetectorModel)
-
-    def __post_init__(self):
-        if self.delay_ps <= 0:
-            raise SimError("FransonMcConfig: delay must be positive")
-        if not 0 <= self.v_app <= 1:
-            raise SimError("FransonMcConfig: v_app outside [0, 1]")
-
-    @property
-    def visibility(self) -> float:
-        """Fringe visibility V = v_app * F(delay imbalance)."""
-        return self.v_app * self.pc.at(float(self.delay_imbalance_ps))
 
 
 def _poisson_times(rng, rate_per_s, start_ps, stop_ps):
@@ -344,29 +320,33 @@ def g2_chain_blocks(source: SourceParams, herald_model: DetectorModel,
     yield tuple(det.close() for det in detectors)
 
 
-def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, TagStream]:
+def franson_sample(pair_times, delay_ps: int, visibility: float, seed, *, delay_imbalance_ps=0,
+                   phase_rad=0.0, detector_a=DetectorModel(),
+                   detector_b=DetectorModel()) -> tuple[TagStream, TagStream]:
     """Sample interferometer paths for each pair and emit both output streams.
 
-    Photon A is delayed by 0 or D, photon B by 0 or D + delay_imbalance.  The
-    indistinguishable short-short / long-long combinations share probability
-    0.5 * coincidence_rate(v_app * F(dtau), phase); the distinguishable combinations
-    absorb the complement so the per-pair total is exactly 1 and the overall
-    flux is phase independent.
+    Photon A is delayed by 0 or delay_ps, photon B by 0 or delay_ps + delay_imbalance_ps.
+    The indistinguishable short-short / long-long combinations share probability
+    0.5 * coincidence_rate(visibility, phase); the distinguishable combinations absorb
+    the complement so the per-pair total is exactly 1 and the flux is phase independent.
     """
-    rng = _rng(seed)
-    pair_times = np.asarray(pair_times, dtype=np.int64)
-    d_a = cfg.delay_ps
-    d_b = cfg.delay_ps + cfg.delay_imbalance_ps
+    if delay_ps <= 0:
+        raise SimError("franson_sample: delay must be positive")
+    if not 0 <= visibility <= 1:
+        raise SimError(f"franson_sample: visibility {visibility} outside [0, 1]")
+    d_a, d_b = delay_ps, delay_ps + delay_imbalance_ps
     if d_b <= 0:
         raise SimError("franson_sample: B-arm long path is nonpositive")
-    p_central = 0.5 * coincidence_rate(cfg.visibility, cfg.phase_rad)
+    rng = _rng(seed)
+    pair_times = np.asarray(pair_times, dtype=np.int64)
+    p_central = 0.5 * coincidence_rate(visibility, phase_rad)
 
     # u in [0, 1) falls in short-short, long-long, short-long, long-short in turn
     u = rng.random(pair_times.size)
     long_b = (u >= p_central / 2.0) & (u < p_central + (1.0 - p_central) / 2.0)
     long_a = long_b ^ (u >= p_central)
 
-    margin = int(6 * max(cfg.detector_a.jitter_sigma_ps, cfg.detector_b.jitter_sigma_ps))
+    margin = int(6 * max(detector_a.jitter_sigma_ps, detector_b.jitter_sigma_ps))
     duration = int(pair_times.max() if pair_times.size else 0) + d_a + d_b + margin + 1
     if duration >= 2**63:
         raise SimError("franson_sample: delayed and jittered tags would reach 2^63 ps")
@@ -374,5 +354,5 @@ def franson_sample(pair_times, cfg: FransonMcConfig, seed) -> tuple[TagStream, T
     t_b = pair_times + np.where(long_b, d_b, 0)
     t_a.sort(kind="stable")  # timsort: sorted pair times plus a 0 or D shift
     t_b.sort(kind="stable")
-    return (apply_detector(TagStream(t_a, duration), cfg.detector_a, rng),
-            apply_detector(TagStream(t_b, duration), cfg.detector_b, rng))
+    return (apply_detector(TagStream(t_a, duration), detector_a, rng),
+            apply_detector(TagStream(t_b, duration), detector_b, rng))

@@ -75,13 +75,12 @@ def test_05_franson_monte_carlo():
     scans = []
     total = 0
     for phi in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
-        cfg = simkit.FransonMcConfig(
-            pc=pc, delay_imbalance_ps=0, delay_ps=1140, phase_rad=float(phi),
-            v_app=0.88 * 0.95,
+        pair_times = np.sort(rng.integers(0, SEC, 4500, dtype=np.int64))
+        a, b = simkit.franson_sample(
+            pair_times, 1140, 0.88 * 0.95 * pc.at(0.0), rng, delay_imbalance_ps=0,
+            phase_rad=float(phi),
             detector_a=simkit.DetectorModel(jitter_sigma_ps=600.0 / 2.3548),
             detector_b=simkit.DetectorModel(jitter_sigma_ps=15.0))
-        pair_times = np.sort(rng.integers(0, SEC, 4500, dtype=np.int64))
-        a, b = simkit.franson_sample(pair_times, cfg, rng)
         c = tagcorr.gated_coincidences(a, b, gate_ps=512, center_ps=0)
         total += c
         scans.append((phi, c))
@@ -100,10 +99,9 @@ def test_06_three_peak_structure():
     n_per_phase, n_phases = 2500, 24
     rng = np.random.default_rng(77)
     for phi in np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False):
-        cfg = simkit.FransonMcConfig(pc=pc, delay_ps=1140, phase_rad=float(phi),
-                                     v_app=0.836)
         pair_times = np.sort(rng.integers(0, SEC, n_per_phase, dtype=np.int64))
-        a, b = simkit.franson_sample(pair_times, cfg, rng)
+        a, b = simkit.franson_sample(pair_times, 1140, 0.836 * pc.at(0.0), rng,
+                                     phase_rad=float(phi))
         for center in counts:
             counts[center] += tagcorr.gated_coincidences(a, b, 1000, center)
     total = n_per_phase * n_phases

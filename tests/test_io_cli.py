@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fcphotons
-from fcphotons import io, models, simkit
+from fcphotons import io, models, simkit, twophoton
 from fcphotons.cli import main
 from fcphotons.scenario import FransonScanSettings, load_scenario
 from fcphotons.simkit import DetectorModel, SourceParams, TagStream
@@ -224,6 +224,13 @@ def test_curve_round_trip(tmp_path):
     assert np.allclose(back[:, 1], y)
 
 
+def test_table_with_a_byte_order_mark_keeps_its_first_row(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("\ufeff1e5,283.93\n2e5,220.31\n3e5,179.99\n4e5,152.14\n", encoding="utf-8")
+    assert io.load_table(path).tolist() == [[1e5, 283.93], [2e5, 220.31], [3e5, 179.99],
+                                            [4e5, 152.14]]
+
+
 def test_simulate_deterministic(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     for out in (out1, out2):
@@ -415,6 +422,18 @@ def test_analyze_franson_gate_is_an_analyze_default(tmp_path):
     assert io.load_table(ana / "franson_scan.csv")[:, 1].tolist() == counts
 
 
+def test_simulate_franson_imbalance_sets_the_configured_visibility(tmp_path):
+    sc = tmp_path / "scenario.ini"
+    sc.write_text(MINIMAL_FRANSON.replace("delay_imbalance_ps = 0", "delay_imbalance_ps = 7"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 0
+    summary = io.read_summary(out / "summary.json")
+    loaded = load_scenario(sc)
+    pc = twophoton.converted_pair_coherence(loaded.source_spectrum(), loaded.phase_matching)
+    assert summary["delay_imbalance_ps"] == 7
+    assert summary["configured_visibility"] == 0.88 * 0.95 * pc.at(7.0) < 0.836
+
+
 def test_simulate_franson_imbalance_outside_the_pair_coherence(tmp_path, capsys):
     # the converted pair coherence is tabulated on +-80 ps
     sc = tmp_path / "scenario.ini"
@@ -519,6 +538,17 @@ def test_cli_fit_rejects_nonfinite_and_nonpositive(tmp_path, capsys, row, dt, er
     out = tmp_path / "fit"
     assert main(["fit", str(path), "--dt-s", dt, "--out", str(out)]) == 2
     assert error in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
+
+
+def test_cli_fit_refuses_a_partly_numeric_first_row(tmp_path, capsys):
+    # a header has no numeric field; a first data row with a typo is not one
+    path = tmp_path / "points.csv"
+    write_sbr_points(path, 1.5e-9)
+    path.write_text("1.0,abc\n" + path.read_text())
+    out = tmp_path / "fit"
+    assert main(["fit", str(path), "--dt-s", "1.5e-9", "--out", str(out)]) == 2
+    assert "non-numeric data row '1.0,abc'" in capsys.readouterr().err
     assert not (out / "fit.json").exists()
 
 
@@ -652,6 +682,7 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
      "[franson] phase_points and pairs_per_point must be nonnegative"),
     (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nseed = -1\n"), "run.seed must be nonnegative"),
     (MINIMAL_SCENARIO.replace("[run]\n", "[run]\nseed = 1e3\n"), None),
+    ("\ufeff" + Path(scenario_path("g2_chain.ini")).read_text(encoding="utf-8"), None),
     (EMPTY_SOURCE.replace("duration_ps = 1000", "duration_ps = 9223372036854775808"),
      "run.duration_ps = '9223372036854775808' is not below 2^63 ps"),
     (EMPTY_SOURCE.replace("duration_ps = 1000", "duration_ps = 18446744073709551616"),
@@ -670,14 +701,15 @@ def test_cli_scenario_missing_spectrum_file(tmp_path):
         "spectrum_neither", "missing_phase_points", "missing_pm_fwhm", "spectrum_nan",
         "section_twice", "key_twice", "key_before_section", "lone_percent",
         "percent_in_name", "delay_zero", "v_mi_above_one", "phase_points_negative",
-        "pairs_per_point_negative", "seed_negative", "seed_float_form", "duration_2_63",
-        "duration_2_64", "delay_1e23", "imbalance_minus_1e23", "jitter_1e300"])
+        "pairs_per_point_negative", "seed_negative", "seed_float_form", "g2_chain_with_bom",
+        "duration_2_63", "duration_2_64", "delay_1e23", "imbalance_minus_1e23", "jitter_1e300"])
 def test_scenario_loader(tmp_path, capsys, scenario, error):
+    bundled = "g2_chain" if scenario.startswith("\ufeff") else scenario
     name = "g2-%(x)s" if "name = " in scenario else "scenario.ini"
     seed = 1000 if "seed = 1e3" in scenario else 0
     if "\n" in scenario:  # the file's text, not a bundled name
         path = tmp_path / "scenario.ini"
-        path.write_text(scenario)
+        path.write_text(scenario, encoding="utf-8")
         scenario = str(path)
         # a line broader than the Gaussian, for the cases that name a spectrum file
         io.save_curve(tmp_path / "line.csv", [-300.0, 0.0, 300.0], [0.5, 1.0, 0.5],
@@ -689,8 +721,8 @@ def test_scenario_loader(tmp_path, capsys, scenario, error):
         assert error in capsys.readouterr().err
         return
     loaded = load_scenario(scenario)
-    if scenario in ("g2_chain", "franson"):
-        assert loaded == load_scenario(scenario_path(f"{scenario}.ini"))
+    if bundled in ("g2_chain", "franson"):
+        assert loaded == load_scenario(scenario_path(f"{bundled}.ini"))
         return
     assert loaded.seed == seed
     assert loaded.name == name

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,6 @@ from fcphotons.scenario import load_scenario
 from fcphotons.simkit import (
     Detector,
     DetectorModel,
-    FransonMcConfig,
     SimError,
     SourceParams,
     TagStream,
@@ -438,30 +438,36 @@ def franson_run(phase, n_pairs, dtau=0, jitter_a=0.0, jitter_b=0.0, seed=0,
                 pc=None, v_app=0.836):
     rng = np.random.default_rng(seed)
     pair_times = np.sort(rng.integers(0, SEC, n_pairs, dtype=np.int64))
-    cfg = FransonMcConfig(
-        pc=pc if pc is not None else flat_pc(1.0),
-        delay_ps=1140,
-        delay_imbalance_ps=dtau,
-        phase_rad=phase,
-        v_app=v_app,
-        detector_a=DetectorModel(jitter_sigma_ps=jitter_a),
-        detector_b=DetectorModel(jitter_sigma_ps=jitter_b),
-    )
-    return franson_sample(pair_times, cfg, rng)
+    pc = pc if pc is not None else flat_pc(1.0)
+    return franson_sample(pair_times, 1140, v_app * pc.at(float(dtau)), rng,
+                          delay_imbalance_ps=dtau, phase_rad=phase,
+                          detector_a=DetectorModel(jitter_sigma_ps=jitter_a),
+                          detector_b=DetectorModel(jitter_sigma_ps=jitter_b))
 
 
 def test_franson_sample_refuses_tags_at_2_63_ps():
     # the long path alone reaches the int64 limit
-    cfg = FransonMcConfig(pc=flat_pc(1.0), delay_ps=2**63 - 1)
     with pytest.raises(SimError, match=r"would reach 2\^63 ps"):
-        franson_sample(np.array([0, 10], dtype=np.int64), cfg, 1)
+        franson_sample(np.array([0, 10], dtype=np.int64), 2**63 - 1, 1.0 * flat_pc(1.0).at(0.0), 1)
+
+
+@pytest.mark.parametrize("delay_ps, visibility, dtau, match", [
+    (0, 0.5, 0, "delay must be positive"),
+    (1140, 0.5, -1140, "B-arm long path is nonpositive"),
+    (1140, 1.1, 0, "visibility 1.1 outside"),
+    (1140, -0.1, 0, "visibility -0.1 outside"),
+    (1140, math.nan, 0, "visibility nan outside"),
+])
+def test_franson_sample_refuses_bad_delays_and_visibility(delay_ps, visibility, dtau, match):
+    with pytest.raises(SimError, match=match):
+        franson_sample(np.array([0, 10], dtype=np.int64), delay_ps, visibility, 1,
+                       delay_imbalance_ps=dtau)
 
 
 def test_franson_imbalance_outside_the_pair_coherence_names_it_and_the_grid():
     env = coherence_envelope(gaussian_spectrum(173.0), 40.0, 2001)
-    cfg = FransonMcConfig(pc=pair_coherence(env, env), delay_ps=1140, delay_imbalance_ps=100)
     with pytest.raises(SpectralError, match=r"dtau = 100 ps outside .* \[-80, 80\] ps"):
-        cfg.visibility
+        pair_coherence(env, env).at(100)
 
 
 def test_franson_three_peaks():

@@ -14,7 +14,6 @@ from fcphotons.models import (
 )
 from fcphotons.simkit import (
     DetectorModel,
-    FransonMcConfig,
     SourceParams,
     TagStream,
     franson_sample,
@@ -241,12 +240,11 @@ def _franson_visibility(dtau, pc, jitter_a, n_pairs, seed):
     rng = np.random.default_rng(seed)
     scans = []
     for phi in np.linspace(0, 2 * np.pi, 12, endpoint=False):
-        cfg = FransonMcConfig(
-            pc=pc, delay_ps=1140, delay_imbalance_ps=dtau, phase_rad=phi, v_app=0.836,
-            detector_a=DetectorModel(jitter_sigma_ps=jitter_a),
-            detector_b=DetectorModel(jitter_sigma_ps=15.0))
         pair_times = np.sort(rng.integers(0, SEC, n_pairs, dtype=np.int64))
-        a, b = franson_sample(pair_times, cfg, rng)
+        a, b = franson_sample(pair_times, 1140, 0.836 * pc.at(float(dtau)), rng,
+                              delay_imbalance_ps=dtau, phase_rad=phi,
+                              detector_a=DetectorModel(jitter_sigma_ps=jitter_a),
+                              detector_b=DetectorModel(jitter_sigma_ps=15.0))
         scans.append((phi, gated_coincidences(a, b, gate_ps=512, center_ps=0)))
     return franson_visibility_scan(scans)
 
