@@ -105,12 +105,11 @@ def _bin_ps(args) -> int:
     return args.bin_ps or args.window_ps
 
 
-def _stream_herald(path, *counters):
-    """Feed every block of the PTAG file at path to each counter's add."""
+def _stream_herald(path, feed):
+    """Call feed on every block of the PTAG file at path."""
     with io.PtagReader(path) as reader:
         for block in reader.blocks():
-            for counter in counters:
-                counter.add(block)
+            feed(block)
 
 
 def _save_sbr(correlator, args, out_dir) -> tagcorr.SbrResult:
@@ -129,7 +128,8 @@ def _analyze_g2(args, out_dir) -> dict:
     hbt1, hbt2 = map(io.read_ptag, args.tags[1:])
     g2 = tagcorr.HeraldedG2Counter(hbt1, hbt2, args.window_ps)
     correlator = tagcorr.CrossCorrelator(hbt1, _bin_ps(args), args.delay_range_ps)
-    _stream_herald(args.tags[0], g2, correlator)
+    # hbt1's nearest heralds come from the insertion points of the correlator's walk
+    _stream_herald(args.tags[0], lambda block: g2.add(block, correlator.add(block, points=True)))
     res = g2.result()
     sbr = _save_sbr(correlator, args, out_dir)
     io.save_curve(os.path.join(out_dir, "g2_histogram.csv"),
@@ -150,7 +150,7 @@ def _analyze_g2(args, out_dir) -> dict:
 def _analyze_sbr(args, out_dir) -> dict:
     correlator = tagcorr.CrossCorrelator(io.read_ptag(args.tags[1]), _bin_ps(args),
                                          args.delay_range_ps)
-    _stream_herald(args.tags[0], correlator)
+    _stream_herald(args.tags[0], correlator.add)
     sbr = _save_sbr(correlator, args, out_dir)
     return {"status": "ok", "sbr": sbr.sbr, "sigma": sbr.sigma,
             "signal": sbr.signal, "background_per_bin": sbr.background_per_bin}

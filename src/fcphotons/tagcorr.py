@@ -79,38 +79,13 @@ def _window(a: np.ndarray, b: np.ndarray, low: int, high: int):
             np.searchsorted(b, _shifted(a, hi), side="right"))
 
 
-def _delay_histogram(a: np.ndarray, b: np.ndarray, bin_width: int,
-                     n_half: int) -> np.ndarray:
-    """Counts of the delays d = b[j] - a[i] in bins k = floor(d / w + 1/2), |k| <= n_half.
-
-    Single pass over sorted int64 tags: b is cut to the tags that some tag of
-    a can reach, the window of each tag of the shorter stream holds every tag
-    of the other within reach of the outermost bins, the pairs in it are
-    expanded into their delays and binned with bincount.  With d = qw + r the
-    bin is q + (r >= w - r): (2d + w) // (2w) without the doubling, which
-    would overflow int64 for delays or widths of 2^62 ps and more.  The
-    scratch arrays grow with the walked stream and its pairs, so callers
-    bound them by feeding a in blocks (CrossCorrelator).
-    """
-    w = int(bin_width)
-    reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
-    nbins = 2 * n_half + 1
-    if not a.size:
-        return np.zeros(nbins, dtype=np.int64)
-    lo, hi = _window(a[[0, -1]], b, -reach, reach)
-    b = b[lo[0]:hi[1]]
-    sign = 1
-    if b.size < a.size:  # walk the shorter stream: the same pairs from fewer windows
-        a, b, sign = b, a, -1
-    lo, n = _window(a, b, -reach, reach)
-    n -= lo  # pairs per tag; n and lo are updated in place to keep the scratch small
-    # the p-th pair of tag i sits at b[lo[i] + p] and is pair first[i] + p overall
-    lo -= np.cumsum(n) - n  # lo - first
-    j = np.arange(n.sum()) + np.repeat(lo, n)
-    d = sign * (b[j] - np.repeat(a, n))
-    q = d // w
-    r = d - q * w  # d mod w; exact where q * w wraps around int64, since r fits
-    return np.bincount(q + (r >= w - r) + n_half, minlength=nbins + 1)[:nbins]
+def _delays(a: np.ndarray, b: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """b[j] - a[i] for each tag i of a and j = lo[i], ..., lo[i] + n[i] - 1, in that order."""
+    j = np.repeat(lo - (np.cumsum(n) - n), n)
+    j += np.arange(j.size)
+    d = b[j]
+    d -= np.repeat(a, n)
+    return d
 
 
 class CrossCorrelator:
@@ -118,7 +93,13 @@ class CrossCorrelator:
 
     Each block takes every tag of b that one of its tags can reach, so the
     pairs of a tag of a are counted in its own block and the blocks add up
-    exactly.
+    exactly.  A block walks the shorter of itself and that cut of b: the
+    window of each walked tag holds every tag of the other stream within
+    reach of the outermost bins, and its pairs are expanded into their
+    delays and binned with bincount.  With d = qw + r the bin is
+    q + (r >= w - r): (2d + w) // (2w) without the doubling, which would
+    overflow int64 for delays or widths of 2^62 ps and more.  The scratch
+    arrays grow with the walked tags and their pairs, which the blocks bound.
     """
 
     def __init__(self, b: TagStream, bin_width_ps: int, delay_range_ps: int):
@@ -129,8 +110,34 @@ class CrossCorrelator:
         self._n_half = int(delay_range_ps // bin_width_ps)
         self._bins = np.zeros(2 * self._n_half + 1, dtype=np.int64)
 
-    def add(self, a: np.ndarray) -> None:
-        self._bins += _delay_histogram(a, self._b, self._w, self._n_half)
+    def add(self, a: np.ndarray, points: bool = False):
+        """Count the pairs of the block a; with points, returns the side="left"
+        insertion points into a of the tags of b it walked, as (index into b of
+        the first, points), or None where it walked a."""
+        if not a.size:
+            return None
+        w, n_half, nbins = self._w, self._n_half, self._bins.size
+        reach = n_half * w + w // 2  # d = reach lands in bin n_half + 1 when w is even
+        lo, hi = _window(a[[0, -1]], self._b, -reach, reach)
+        start, b = int(lo[0]), self._b[lo[0]:hi[1]]
+        walk_b = b.size < a.size  # the same pairs from fewer windows
+        if walk_b:
+            a, b = b, a
+        lo, n = _window(a, b, -reach, reach)
+        n -= lo
+        d = _delays(a, b, lo, n)
+        found = None
+        if walk_b:
+            np.negative(d, out=d)
+            if points:  # a tag's window start plus its pairs with a positive delay
+                positive = np.concatenate(([0], np.cumsum(d > 0)))
+                end = np.cumsum(n)
+                found = start, lo + positive[end] - positive[end - n]
+        q = d // w
+        d -= q * w  # d mod w; exact where q * w wraps around int64, since it fits
+        q += (d >= w - d) + n_half
+        self._bins += np.bincount(q, minlength=nbins + 1)[:nbins]
+        return found
 
     def histogram(self) -> CorrelationHistogram:
         return CorrelationHistogram(self._w, self._bins.copy())
@@ -141,7 +148,7 @@ def cross_correlate(a: TagStream, b: TagStream, bin_width_ps: int,
     """Histogram of (t_b - t_a) for all pairs within +-delay_range.
 
     Bin k holds the integer delays d with (k - 1/2) w <= d < (k + 1/2) w, found
-    in one pass over the tags with int64 arithmetic (see _delay_histogram), so
+    in one pass over the tags with int64 arithmetic (see CrossCorrelator), so
     it stays exact however late the tags are.  a goes through a
     CrossCorrelator in the blocks of simkit._blocks.
     """
@@ -181,16 +188,21 @@ def extract_sbr(h: CorrelationHistogram, background_exclusion_ps: int) -> SbrRes
     return SbrResult(signal, float(background), float(sbr), float(sigma))
 
 
-def _nearest_flags(heralds: np.ndarray, tags: np.ndarray, half_window: int) -> np.ndarray:
+def _nearest_flags(heralds: np.ndarray, tags: np.ndarray, half_window: int,
+                   idx: np.ndarray, before: int | None) -> np.ndarray:
     """Indices into heralds of the nearest herald of each tag, for the tags within
-    half_window of it; an equidistant tag goes to the earlier herald."""
-    idx = np.searchsorted(heralds, tags)
-    left = np.maximum(idx - 1, 0)
-    right = np.minimum(idx, heralds.size - 1)
-    d_left = np.abs(tags - heralds[left])
-    d_right = np.abs(tags - heralds[right])
-    nearest = np.where(d_left <= d_right, left, right)
-    return nearest[np.minimum(d_left, d_right) <= half_window]
+    half_window of it; an equidistant tag goes to the earlier herald.
+
+    tags are sorted and idx are their insertion points into heralds (side="left"),
+    each below heralds.size; before, if not None, is a herald before every tag,
+    at index -1.
+    """
+    d_after = heralds[idx] - tags
+    d_before = tags - heralds[idx - 1]
+    first = int(idx.searchsorted(1))  # the tags before heralds[0]
+    d_before[:first] = _INT64.max if before is None else tags[:first] - before
+    nearest = idx - (d_before <= d_after)  # -1 with no before only past every window
+    return nearest[np.minimum(d_before, d_after) <= half_window]
 
 
 class HeraldedG2Counter:
@@ -198,12 +210,15 @@ class HeraldedG2Counter:
 
     Each block takes the HBT tags after the previous block's last herald up
     to its own last herald (their side="right" insertion points), and looks
-    for their nearest herald among its heralds and that previous last one.
-    So every tag meets the two heralds around it, duplicate heralds and ties
-    at a seam included; the tags after the last herald are taken at the end.
-    Each tag is attributed to its nearest herald only, so one tag can never
-    satisfy two heralds at once.  A pair of flags goes into the separation
-    histogram when its later flag comes, so only the flags within
+    for their nearest herald among its heralds and that previous last one,
+    held as a scalar.  So every tag meets the two heralds around it,
+    duplicate heralds and ties at a seam included; the tags after the last
+    herald are taken at the end.  Each tag is attributed to its nearest
+    herald only, so one tag can never satisfy two heralds at once.  The
+    tags' insertion points into the block are searched, or for hbt1 taken
+    from the walk of a CrossCorrelator over hbt1 (see add).  A pair of flags
+    goes into the separation histogram when its later flag comes, found by
+    the correlator's pair walk over herald indices, so only the flags within
     G2_MAX_SEPARATION heralds of the last one are kept.
     """
 
@@ -216,36 +231,46 @@ class HeraldedG2Counter:
         self._recent = (np.empty(0, dtype=np.intp),) * 2  # flags a later flag can reach
         self._hist = np.zeros(2 * G2_MAX_SEPARATION + 1, dtype=np.int64)
         self._heralds = 0  # heralds so far
-        self._last = None  # the last herald so far, as a one-element array
+        self._last = None  # the last herald so far
 
-    def add(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def add(self, block: np.ndarray, hbt1_points=None) -> tuple[np.ndarray, np.ndarray]:
         """Take the next block of heralds; returns the indices of the heralds it newly
-        flags on hbt1 and on hbt2."""
+        flags on hbt1 and on hbt2.  hbt1_points, if not None, is what a CrossCorrelator
+        over hbt1 returned for add(block, points=True), so hbt1 needs no search."""
         if not block.size:
             return self._recent[0][:0], self._recent[1][:0]
-        new = self._take(block, [np.searchsorted(tags, block[-1], side="right")
-                                 for tags in self._tags])
+        flags = []
+        for k, tags in enumerate(self._tags):
+            first, stop = self._next[k], int(np.searchsorted(tags, block[-1], side="right"))
+            taken = tags[first:stop]
+            if k == 0 and hbt1_points is not None:
+                start, found = hbt1_points
+                cut = max(start, first)  # tags before the walked ones precede block[0]: point 0
+                idx = np.concatenate((np.zeros(cut - first, np.intp),
+                                      found[cut - start:stop - start]))
+            else:
+                idx = np.searchsorted(block, taken)
+            flags.append(_nearest_flags(block, taken, self._half_window, idx, self._last)
+                         + self._heralds)
+            self._next[k] = stop
+        self._last = int(block[-1])
         self._heralds += block.size
-        self._last = block[-1:].copy()  # block may be a reader's reused buffer
-        return new
+        return self._take(flags)
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Take the HBT tags after the last herald; returns the heralds they newly flag."""
         if self._heralds == 0:
             raise AnalysisError("heralded_g2: empty herald stream")
-        return self._take(self._last[:0], [tags.size for tags in self._tags])
+        # of these tags, the first is the nearest to the last herald
+        flags = [np.flatnonzero(tags[n:n + 1] - self._last <= self._half_window) + self._heralds - 1
+                 for tags, n in zip(self._tags, self._next)]
+        self._next = [tags.size for tags in self._tags]
+        return self._take(flags)
 
-    def _take(self, block, stops):
-        """Flag the nearest of block's heralds and the last one before them for the HBT
-        tags from the first not yet taken up to stops, and count the new pairs."""
-        heralds, offset = block, self._heralds
-        if self._last is not None:
-            heralds, offset = np.concatenate((self._last, block)), offset - 1
+    def _take(self, flags):
+        """Count the pairs of the new flags per HBT stream; returns them without repeats."""
         new = []
-        for k, (tags, stop, recent) in enumerate(zip(self._tags, stops, self._recent)):
-            flagged = _nearest_flags(heralds, tags[self._next[k]:stop], self._half_window)
-            flagged += offset
-            self._next[k] = stop
+        for flagged, recent in zip(flags, self._recent):
             # the nearest herald never decreases along the sorted tags: drop repeats
             keep = np.ones(flagged.size, dtype=bool)
             np.not_equal(flagged[1:], flagged[:-1], out=keep[1:])
@@ -256,10 +281,12 @@ class HeraldedG2Counter:
         all1, all2 = np.concatenate((old1, new1)), np.concatenate((old2, new2))
         # pairs of flagged heralds (i1 on hbt1, i2 on hbt2) by separation m = i2 - i1,
         # each counted once: with new hbt2 flags, and new hbt1 flags with old hbt2 ones
-        self._hist += _delay_histogram(all1, new2, 1, G2_MAX_SEPARATION)
-        self._hist += _delay_histogram(new1, old2, 1, G2_MAX_SEPARATION)
+        reach = G2_MAX_SEPARATION
+        for a, b in ((all1, new2), (new1, old2)):
+            lo, hi = _window(a, b, -reach, reach)
+            self._hist += np.bincount(_delays(a, b, lo, hi - lo) + reach, minlength=2 * reach + 1)
         # later flags come at the last herald so far or after it
-        floor = self._heralds + block.size - 1 - G2_MAX_SEPARATION
+        floor = self._heralds - 1 - G2_MAX_SEPARATION
         self._recent = (all1[all1 >= floor], all2[all2 >= floor])
         return new1, new2
 

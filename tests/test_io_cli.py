@@ -266,6 +266,24 @@ def test_simulate_and_analyze_g2_chain(tmp_path):
     assert (ana / "correlation.csv").exists()
 
 
+def test_analyze_g2_histogram_does_not_depend_on_the_correlator_reach(tmp_path):
+    # at a 1500 ps bin the correlator reaches 150750 ps, below the 200000 ps half
+    # window, and 600750 ps at --delay-range-ps 600000; hbt1's nearest heralds come
+    # from its walk either way
+    run = tmp_path / "run"
+    assert main(["simulate", "--scenario", scenario_path("g2_chain.ini"), "--out", str(run),
+                 "--seed", "11"]) == 0
+    tags = [str(run / f"{n}.ptag") for n in ("herald", "hbt1", "hbt2")]
+    histograms = []
+    for name, extra in (("below", []), ("above", ["--delay-range-ps", "600000"])):
+        out = tmp_path / name
+        assert main(["analyze", *tags, "--mode", "g2", "--window-ps", "400000",
+                     "--bin-ps", "1500", *extra, "--out", str(out)]) == 0
+        assert io.read_summary(out / "analysis.json")["status"] == "ok"
+        histograms.append((out / "g2_histogram.csv").read_bytes())
+    assert histograms[0] == histograms[1]
+
+
 DENSE = ("[run]\nkind = g2_chain\nduration_ps = 5000000000\n"
          "[source]\npair_rate_per_s = 2e6\nq2 = 0.3\neta1 = 0.5\neta2 = 0.6\n"
          "dark2_per_s = 2300\n")

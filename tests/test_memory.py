@@ -77,6 +77,24 @@ def test_heralded_g2_holds_under_a_quarter_of_the_heralds(g2_chain_streams):
     assert peak < herald.tags.nbytes / 4
 
 
+def test_g2_analysis_steady_state_add_holds_under_three_quarters_of_a_block(g2_chain_streams):
+    # analyze --mode g2's step per herald block: the counter holds the previous block's
+    # last herald as a scalar, not in a block-sized copy (1.52-1.55 blocks with the copy)
+    herald, hbt1, hbt2 = g2_chain_streams
+    blocks = list(simkit._blocks(herald.tags))
+    counter = tagcorr.HeraldedG2Counter(hbt1, hbt2, 1500)
+    correlator = tagcorr.CrossCorrelator(hbt1, 1500, 150_000)
+
+    def step(block):
+        return counter.add(block, correlator.add(block, points=True))
+
+    for block in blocks[:8]:
+        step(block)
+    flags, peak = traced_peak(step, blocks[8])
+    assert flags[0].size > 0 and flags[1].size > 0
+    assert peak < 0.75 * blocks[8].nbytes
+
+
 def test_cross_correlate_dense_holds_under_half_the_heralds():
     # each herald block reaches about 5e4 hbt1 tags, all walked in one pass
     herald, hbt1, _ = chain_streams(DENSE_SBR, SEC, seed=11)

@@ -111,6 +111,44 @@ def test_heralded_g2_counter_any_partition_equals_masks(case):
 
 
 @st.composite
+def coupled_cases(draw):
+    """g2_cases, in half of them with up to 150 more hbt1 tags near the heralds, so a
+    block may walk either stream, and a correlator reach below, at or above the half window."""
+    heralds, (tags1, tags2), window, parts, ranges = draw(g2_cases())
+    hw = window // 2
+    extra = near(draw, heralds, range(-2 * hw, 2 * hw + 1), draw(st.sampled_from([0, 150])))
+    tags1 = np.sort(np.concatenate([tags1, extra]))
+    w = draw(st.sampled_from([1, 2, 3, 7]))
+    delay_range = draw(st.sampled_from([0, hw - 1, hw, hw + 1, 3 * hw]))  # the reach at w = 1
+    return heralds, (tags1, tags2), window, parts, ranges, w, delay_range
+
+
+@SEAMS
+@given(coupled_cases())
+def test_coupled_correlator_and_g2_counter_equal_oracles(case):
+    # analyze --mode g2 feeds each herald block to a correlator over hbt1, whose walk
+    # gives the counter hbt1's insertion points; blocks of _BLOCK, empty ones too
+    heralds, (tags1, tags2), window, parts, (reach, plateau_from, block), w, delay_range = case
+    duration = int(max(heralds[-1], tags1.max(initial=0), tags2.max(initial=0)))
+    herald, hbt1, hbt2 = (TagStream(t, duration) for t in (heralds, tags1, tags2))
+    masks = [window_flags_mask(heralds, s, window / 2) for s in (hbt1, hbt2)]
+    expected = separation_histogram_loop(*masks, reach)
+    with mock.patch.object(simkit, "_BLOCK", block), \
+            mock.patch.multiple(tagcorr, G2_MAX_SEPARATION=reach, G2_PLATEAU_FROM=plateau_from):
+        counter = HeraldedG2Counter(hbt1, hbt2, window)
+        correlator = CrossCorrelator(hbt1, w, delay_range)
+        flags = [counter.add(b, correlator.add(b, points=True))
+                 for part in parts for b in (part[:0], *simkit._blocks(part))]
+        flags.append(counter.finish())
+        for k, mask in enumerate(masks):
+            assert np.array_equal(np.concatenate([f[k] for f in flags]), np.flatnonzero(mask))
+        assert np.array_equal(correlator.histogram().bins,
+                              cross_correlate_bruteforce(herald, hbt1, w, delay_range).bins)
+        if expected[np.abs(np.arange(-reach, reach + 1)) >= plateau_from].sum():
+            assert np.array_equal(counter.result().histogram, expected)
+
+
+@st.composite
 def ptag_cases(draw):
     tags = sorted_tags(draw, [0, 1, 2, 1000, 2**40], 80)
     return tags, pieces(draw, tags), draw(st.integers(0, 255)), draw(st.integers(1, 64))

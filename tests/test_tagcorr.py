@@ -23,6 +23,7 @@ from fcphotons.spectral import coherence_envelope, gaussian_spectrum
 from fcphotons.tagcorr import (
     AnalysisError,
     CorrelationHistogram,
+    CrossCorrelator,
     HeraldedG2Counter,
     cross_correlate,
     extract_sbr,
@@ -443,3 +444,24 @@ def test_cross_correlate_exact_at_the_int64_end(w, n_half, monkeypatch):
     for x, y in ((a, b), (b, a)):
         bins = cross_correlate(x, y, w, n_half * w).bins
         assert bins.tolist() == delay_counts_exact(x, y, w, n_half * w)
+
+
+@pytest.mark.parametrize("w, n_half", [(10, 10), (2**40 + 1, 5), (2**62, 1), (2**62 + 3, 1),
+                                       (3 * 2**61, 1)])
+def test_correlator_insertion_points_exact_at_the_int64_end(w, n_half):
+    # 30 heralds against 15 tags: a block that walks the tags returns their side="left"
+    # insertion points into it, counted from the walk's delays
+    heralds = np.sort(np.concatenate([_int64_end_stream(3).tags, _int64_end_stream(5).tags]))
+    hbt = _int64_end_stream(4)
+    correlator = CrossCorrelator(hbt, w, n_half * w)
+    walked = 0
+    for block in (heralds[:8], heralds[8:]):
+        points = correlator.add(block, points=True)
+        if points is not None:
+            start, found = points
+            walked_tags = hbt.tags[start:start + found.size]
+            assert found.tolist() == np.searchsorted(block, walked_tags).tolist()
+            walked += found.size
+    assert walked
+    assert correlator.histogram().bins.tolist() == delay_counts_exact(
+        TagStream(heralds, TOP), hbt, w, n_half * w)
